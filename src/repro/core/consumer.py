@@ -343,7 +343,6 @@ class LatchingConsumer:
         item_cost_s = self._item_cost_s
         base_cost = type(self)._item_cost_s is LatchingConsumer._item_cost_s
         deadline_s = cfg.max_response_latency_s
-        keep_raw = cfg.track_latencies
         # Bootstrap: no history yet — reserve the very next slot.
         self.manager.reserve(self, self.manager.track.slot_of(env.now) + 1)
         while True:
@@ -413,9 +412,7 @@ class LatchingConsumer:
                     yield timeout(duration)
                 account_busy(owner, duration)
                 stats.consumed += 1
-                record_latency(
-                    env.now - t, deadline_s, keep_raw, now_s=env.now
-                )
+                record_latency(env.now - t, deadline_s, now_s=env.now)
                 self.in_flight -= 1
             if self.metrics:
                 # Batch-level accounting: one observe + one add per

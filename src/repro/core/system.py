@@ -174,28 +174,14 @@ class PBPLSystem:
 
     # -- aggregated statistics -----------------------------------------------
     def aggregate_stats(self) -> PairStats:
-        """Element-wise sum of all consumers' counters.
+        """All consumers' stats merged (see :meth:`PairStats.merged`).
 
         ``scheduled_wakeups`` is taken from the managers (one per fired
         slot — a *CPU* wakeup), not from the consumers (one per
         activation — a *process* wakeup), matching how the paper counts
         its internal upper bound.
         """
-        total = PairStats()
-        for consumer in self.consumers:
-            s = consumer.stats
-            total.produced += s.produced
-            total.consumed += s.consumed
-            total.invocations += s.invocations
-            total.overflows += s.overflows
-            total.items_shed += s.items_shed
-            total.overflow_wakeups += s.overflow_wakeups
-            total.deadline_misses += s.deadline_misses
-            total.last_miss_s = max(total.last_miss_s, s.last_miss_s)
-            total.latencies.extend(s.latencies)
-            total._lat_sum += s._lat_sum
-            total._lat_n += s._lat_n
-            total._lat_max = max(total._lat_max, s._lat_max)
+        total = PairStats.merged(consumer.stats for consumer in self.consumers)
         total.scheduled_wakeups = sum(
             m.scheduled_wakeups for m in self.managers.values()
         )

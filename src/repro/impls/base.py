@@ -16,10 +16,8 @@ corresponding POSIX implementation would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Generator, List
-
-import numpy as np
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Callable, Generator, Iterable
 
 from repro.metrics.quantiles import StreamingLatency
 from repro.workloads.trace import Trace
@@ -59,8 +57,6 @@ class PCConfig:
     spin_reeval_s: float = 0.01
     #: sched_yield frequency of the Yield implementation's spin loop.
     yield_rate_hz: float = 50_000.0
-    #: Keep raw per-item latencies (False saves memory on huge runs).
-    track_latencies: bool = True
 
     def __post_init__(self) -> None:
         if self.buffer_size < 1:
@@ -91,16 +87,8 @@ class PairStats:
     scheduled_wakeups: int = 0
     #: Batch-impl wakeups forced by a full buffer before the schedule.
     overflow_wakeups: int = 0
-    #: Raw per-item response latencies (if tracked).
-    latencies: List[float] = field(default_factory=list)
-    #: Constant-memory P² percentile estimates, always maintained — so
-    #: huge runs with ``track_latencies=False`` still report tails.
-    latency_stream: StreamingLatency = field(
-        default_factory=lambda: StreamingLatency(quantiles=(0.5, 0.95, 0.99))
-    )
-    _lat_sum: float = 0.0
-    _lat_max: float = 0.0
-    _lat_n: int = 0
+    #: Every per-item response latency, with its running sum and max.
+    latency: StreamingLatency = field(default_factory=StreamingLatency)
     #: Items that exceeded the configured max response latency.
     deadline_misses: int = 0
     #: Simulation time of the most recent deadline miss (recovery-time
@@ -108,54 +96,42 @@ class PairStats:
     last_miss_s: float = float("-inf")
 
     def record_latency(
-        self,
-        latency_s: float,
-        deadline_s: float,
-        keep_raw: bool,
-        now_s: float = None,
+        self, latency_s: float, deadline_s: float, now_s: float = None
     ) -> None:
-        self._lat_sum += latency_s
-        self._lat_n += 1
-        if latency_s > self._lat_max:
-            self._lat_max = latency_s
         if latency_s > deadline_s:
             self.deadline_misses += 1
             if now_s is not None and now_s > self.last_miss_s:
                 self.last_miss_s = now_s
-        self.latency_stream.observe(latency_s)
-        if keep_raw:
-            self.latencies.append(latency_s)
+        self.latency.observe(latency_s)
 
     @property
     def mean_latency_s(self) -> float:
-        return self._lat_sum / self._lat_n if self._lat_n else 0.0
+        return self.latency.mean
 
     @property
     def max_latency_s(self) -> float:
-        return self._lat_max
+        return self.latency.maximum
 
     def latency_percentile(self, q: float) -> float:
-        """Percentile of latencies: exact when raw values were kept,
-        the P² streaming estimate otherwise (q ∈ {50, 95, 99})."""
-        if self.latencies:
-            return float(np.percentile(self.latencies, q))
-        if self._lat_n == 0:
-            return 0.0
-        if self.latency_stream.count == 0:
-            # Aggregated stats carry summed counters but no stream (P²
-            # estimators cannot be merged): percentiles then require raw
-            # tracking in the underlying runs.
-            raise ValueError(
-                "percentile unavailable: aggregated stats without raw "
-                "latencies (set track_latencies=True)"
-            )
-        try:
-            return self.latency_stream.quantile(q / 100.0)
-        except KeyError:
-            raise ValueError(
-                f"p{q:g} needs raw tracking; streamed quantiles are "
-                f"{[int(x * 100) for x in self.latency_stream.quantiles]}"
-            ) from None
+        """Exact percentile ``q`` in [0, 100] of the latencies."""
+        return self.latency.quantile(q / 100)
+
+    @classmethod
+    def merged(cls, parts: Iterable["PairStats"]) -> "PairStats":
+        """Pool several pairs: counters summed, ``last_miss_s`` maxed,
+        latency records merged (all in part order)."""
+        parts = list(parts)
+        total = cls(latency=StreamingLatency.merged(p.latency for p in parts))
+        for name in _COUNTERS:
+            setattr(total, name, sum(getattr(p, name) for p in parts))
+        total.last_miss_s = max(
+            (p.last_miss_s for p in parts), default=total.last_miss_s
+        )
+        return total
+
+
+#: The integer counters :meth:`PairStats.merged` sums.
+_COUNTERS = tuple(f.name for f in fields(PairStats) if f.type == "int")
 
 
 #: A delivery routine: a generator that places one item (its production

@@ -148,9 +148,7 @@ class EDFCoordinator:
                     yield from hold.busy(pair.config.service_time_s)
                     pair.stats.consumed += 1
                     pair.stats.record_latency(
-                        env.now - t,
-                        pair.config.max_response_latency_s,
-                        pair.config.track_latencies,
+                        env.now - t, pair.config.max_response_latency_s
                     )
                     pair.in_flight -= 1
             hold.release()
@@ -206,17 +204,9 @@ class EDFBatchSystem:
         return self
 
     def aggregate_stats(self) -> PairStats:
-        total = PairStats()
-        for pair in self.pairs:
-            s = pair.stats
-            total.produced += s.produced
-            total.consumed += s.consumed
-            total.overflows += s.overflows
-            total.deadline_misses += s.deadline_misses
-            total.latencies.extend(s.latencies)
-            total._lat_sum += s._lat_sum
-            total._lat_n += s._lat_n
-            total._lat_max = max(total._lat_max, s._lat_max)
+        """All pairs' stats merged; the wakeup counters come from the
+        coordinators (one CPU wakeup drains every pair on a core)."""
+        total = PairStats.merged(pair.stats for pair in self.pairs)
         total.scheduled_wakeups = sum(c.scheduled_wakeups for c in self.coordinators)
         total.overflow_wakeups = sum(c.overflow_wakeups for c in self.coordinators)
         total.invocations = total.scheduled_wakeups + total.overflow_wakeups

@@ -96,24 +96,8 @@ class MultiPairSystem:
 
     # -- aggregated statistics ------------------------------------------------
     def aggregate_stats(self) -> PairStats:
-        """Element-wise sum of all pairs' counters (latencies pooled)."""
-        total = PairStats()
-        for pair in self.pairs:
-            s = pair.stats
-            total.produced += s.produced
-            total.consumed += s.consumed
-            total.invocations += s.invocations
-            total.overflows += s.overflows
-            total.items_shed += s.items_shed
-            total.scheduled_wakeups += s.scheduled_wakeups
-            total.overflow_wakeups += s.overflow_wakeups
-            total.deadline_misses += s.deadline_misses
-            total.last_miss_s = max(total.last_miss_s, s.last_miss_s)
-            total.latencies.extend(s.latencies)
-            total._lat_sum += s._lat_sum
-            total._lat_n += s._lat_n
-            total._lat_max = max(total._lat_max, s._lat_max)
-        return total
+        """All pairs' stats merged (see :meth:`PairStats.merged`)."""
+        return PairStats.merged(pair.stats for pair in self.pairs)
 
     def buffered_items(self) -> int:
         """Items buffered or in flight — the remainder term of the

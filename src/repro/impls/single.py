@@ -111,9 +111,7 @@ class PCImplementation:
     def _record_consumed(self, produced_t: float) -> None:
         self.stats.consumed += 1
         self.stats.record_latency(
-            self.env.now - produced_t,
-            self.config.max_response_latency_s,
-            self.config.track_latencies,
+            self.env.now - produced_t, self.config.max_response_latency_s
         )
 
     # -- lifecycle -------------------------------------------------------------

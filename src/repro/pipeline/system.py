@@ -25,16 +25,15 @@ apply to pipeline stages exactly as they do to independent pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.buffers.pool import GlobalBufferPool
 from repro.core.config import PBPLConfig
 from repro.core.manager import CoreManager
 from repro.core.system import PBPLSystem
 from repro.cpu.machine import Machine
-from repro.impls.base import Producer
+from repro.impls.base import PairStats, Producer
+from repro.metrics.quantiles import StreamingLatency
 from repro.pipeline.stage import StageConsumer
 from repro.pipeline.topology import Topology
 from repro.workloads.trace import Trace
@@ -46,6 +45,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: End-to-end latency quantiles the pipeline reports.
 E2E_QUANTILES = (0.5, 0.95, 0.99)
+
+
+def sink_latency_quantiles(
+    sink_stats: Iterable[PairStats], quantiles: Sequence[float]
+) -> Dict[float, float]:
+    """Exact quantiles of the sink stages' pooled latency samples."""
+    pooled = StreamingLatency.merged(s.latency for s in sink_stats)
+    return {q: pooled.quantile(q) for q in quantiles}
 
 
 @dataclass
@@ -242,30 +249,12 @@ class PipelineSystem(PBPLSystem):
         """End-to-end latency quantiles over all sink-stage items.
 
         Sink stages record latency from the item's *origin* timestamp
-        (stages forward originals), so their latency streams are the
-        pipeline's end-to-end distribution. Raw samples are pooled
-        exactly when tracked; otherwise the worst sink's streaming (P²)
-        estimate stands in.
+        (stages forward originals), so their pooled samples are the
+        pipeline's end-to-end distribution.
         """
-        sinks = [c for c in self.consumers if c.stage.role == "sink"]
-        raw: List[float] = []
-        for c in sinks:
-            raw.extend(c.stats.latencies)
-        if raw:
-            arr = np.sort(np.asarray(raw))
-            return {
-                q: float(np.quantile(arr, q, method="linear"))
-                for q in quantiles
-            }
-        out: Dict[float, float] = {}
-        for q in quantiles:
-            estimates = [
-                c.stats.latency_percentile(q)
-                for c in sinks
-                if c.stats.consumed
-            ]
-            out[q] = max(estimates, default=0.0)
-        return out
+        return sink_latency_quantiles(
+            (c.stats for c in self.consumers if c.stage.role == "sink"), quantiles
+        )
 
     def __repr__(self) -> str:
         return (

@@ -74,7 +74,7 @@ def test_latencies_recorded(name):
     if impl.stats.consumed:
         assert impl.stats.mean_latency_s > 0
         assert impl.stats.max_latency_s >= impl.stats.mean_latency_s
-        assert len(impl.stats.latencies) == impl.stats.consumed
+        assert len(impl.stats.latency.samples) == impl.stats.consumed
 
 
 def test_fifo_order_preserved():

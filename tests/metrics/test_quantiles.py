@@ -1,145 +1,114 @@
-"""Tests for the P² streaming quantile estimator."""
+"""Tests for the exact, mergeable latency record."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.quantiles import P2Quantile, StreamingLatency
+from repro.impls import PCConfig
+from repro.metrics.quantiles import StreamingLatency
+from tests.impls.conftest import Rig, regular_trace
+
+
+def record(values):
+    r = StreamingLatency()
+    for x in values:
+        r.observe(float(x))
+    return r
+
+
+def test_empty_estimator_returns_zero():
+    r = StreamingLatency()
+    assert (r.quantile(0.5), r.mean, r.maximum, r.samples) == (0.0, 0.0, 0.0, [])
 
 
 def test_quantile_validation():
     with pytest.raises(ValueError):
-        P2Quantile(0.0)
-    with pytest.raises(ValueError):
-        P2Quantile(1.0)
-
-
-def test_empty_estimator_returns_zero():
-    assert P2Quantile(0.5).value == 0.0
+        record([1.0, 2.0]).quantile(1.5)
 
 
 def test_small_samples_use_exact_order_statistics():
-    est = P2Quantile(0.5)
-    for x in (5.0, 1.0, 3.0):
-        est.observe(x)
-    assert est.value == 3.0  # exact median of 3 values
+    assert record([5.0, 1.0, 3.0]).quantile(0.5) == 3.0
 
 
 @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
 def test_matches_numpy_on_uniform(q):
-    rng = np.random.default_rng(0)
-    data = rng.uniform(0, 100, 20_000)
-    est = P2Quantile(q)
-    for x in data:
-        est.observe(float(x))
-    exact = np.percentile(data, q * 100)
-    assert est.value == pytest.approx(exact, abs=2.0)  # 2% of range
+    data = np.random.default_rng(0).uniform(0, 100, 20_000)
+    assert record(data).quantile(q) == np.percentile(data, q * 100)
 
 
 @pytest.mark.parametrize("q", [0.5, 0.95, 0.99])
 def test_matches_numpy_on_lognormal(q):
-    rng = np.random.default_rng(1)
-    data = rng.lognormal(0.0, 1.0, 20_000)
-    est = P2Quantile(q)
-    for x in data:
-        est.observe(float(x))
-    exact = float(np.percentile(data, q * 100))
-    assert est.value == pytest.approx(exact, rel=0.1)
+    data = np.random.default_rng(1).lognormal(0.0, 1.0, 20_000)
+    assert record(data).quantile(q) == np.percentile(data, q * 100)
 
 
 def test_monotone_quantiles_on_same_stream():
-    rng = np.random.default_rng(2)
-    ests = [P2Quantile(q) for q in (0.25, 0.5, 0.75, 0.99)]
-    for x in rng.normal(0, 1, 5_000):
-        for est in ests:
-            est.observe(float(x))
-    values = [est.value for est in ests]
+    r = record(np.random.default_rng(2).normal(0, 1, 5_000))
+    values = [r.quantile(q) for q in (0.25, 0.5, 0.75, 0.99)]
     assert values == sorted(values)
 
 
-@given(
-    data=st.lists(
-        st.floats(min_value=-1e6, max_value=1e6), min_size=5, max_size=400
-    )
-)
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=400))
 @settings(max_examples=150, deadline=None)
 def test_estimate_always_within_observed_range(data):
-    est = P2Quantile(0.9)
-    for x in data:
-        est.observe(x)
-    assert min(data) <= est.value <= max(data)
+    assert min(data) <= record(data).quantile(0.9) <= max(data)
 
 
 def test_constant_stream_is_exact():
-    est = P2Quantile(0.99)
-    for _ in range(1000):
-        est.observe(7.0)
-    assert est.value == 7.0
-
-
-# -- StreamingLatency ---------------------------------------------------------
+    assert record([7.0] * 1000).quantile(0.99) == 7.0
 
 
 def test_streaming_latency_basic_counters():
-    s = StreamingLatency()
-    for x in (0.001, 0.002, 0.003):
-        s.observe(x)
-    assert s.count == 3
-    assert s.mean == pytest.approx(0.002)
-    assert s.maximum == 0.003
+    r = record([0.001, 0.002, 0.003])
+    assert len(r.samples) == 3
+    assert r.mean == pytest.approx(0.002)
+    assert r.maximum == 0.003
 
 
 def test_streaming_latency_quantiles_close_to_exact():
-    rng = np.random.default_rng(3)
-    data = rng.exponential(0.01, 30_000)
-    s = StreamingLatency(quantiles=(0.5, 0.99))
-    for x in data:
-        s.observe(float(x))
-    assert s.quantile(0.99) == pytest.approx(np.percentile(data, 99), rel=0.1)
+    data = np.random.default_rng(3).exponential(0.01, 30_000)
+    assert record(data).quantile(0.99) == np.percentile(data, 99)
 
 
-def test_streaming_latency_unknown_quantile_rejected():
-    s = StreamingLatency(quantiles=(0.5,))
-    with pytest.raises(KeyError):
-        s.quantile(0.9)
+@given(
+    parts=st.lists(
+        st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=50),
+        max_size=6,
+    ),
+    q=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_merged_quantile_equals_quantile_of_concatenation(parts, q):
+    pooled = StreamingLatency.merged(record(p) for p in parts)
+    flat = [x for p in parts for x in p]
+    assert pooled.samples == flat
+    assert pooled.quantile(q) == record(flat).quantile(q)
 
 
-def test_deferred_replay_is_bit_identical_to_eager_updates():
-    """The staged-buffer replay (one estimator at a time, arrival order)
-    leaves every P² marker exactly where eager per-observation updates
-    would — across multiple flush boundaries."""
-    rng = np.random.default_rng(9)
-    data = [float(x) for x in rng.exponential(0.01, 10_000)]
-    deferred = StreamingLatency(quantiles=(0.5, 0.95, 0.99))
-    eager = {q: P2Quantile(q) for q in (0.5, 0.95, 0.99)}
-    for x in data:
-        deferred.observe(x)
-        for est in eager.values():
-            est.observe(x)
-    for q, ref in eager.items():
-        assert deferred.quantile(q) == ref.value
-        got = deferred._estimators[q]
-        assert got._heights == ref._heights
-        assert got._pos == ref._pos
-        assert got._desired == ref._desired
+def test_merged_mean_and_max_match_running_sums_in_pair_order():
+    """Pooled mean/max equal, bit for bit, per-pair running sums added
+    in pair order over the pooled count."""
+    rng = np.random.default_rng(4)
+    parts = [[float(x) for x in rng.exponential(0.01, n)] for n in (7, 1000, 0, 333)]
+    lat_sum, lat_n, lat_max = 0.0, 0, 0.0
+    for p in parts:
+        pair_sum = 0.0
+        for x in p:
+            pair_sum += x
+        lat_sum += pair_sum
+        lat_n += len(p)
+        lat_max = max([lat_max] + p)
+    pooled = StreamingLatency.merged(record(p) for p in parts)
+    assert pooled.mean == lat_sum / lat_n
+    assert pooled.maximum == lat_max
 
 
-def test_deferred_buffer_flushes_at_cap():
-    s = StreamingLatency(quantiles=(0.5,))
-    for i in range(s._FLUSH_AT - 1):
-        s.observe(float(i))
-    assert len(s._pending) == s._FLUSH_AT - 1
-    s.observe(0.0)  # hits the cap
-    assert s._pending == []
-    assert s._estimators[0.5].n == s._FLUSH_AT
-
-
-def test_streaming_latency_memory_is_constant():
-    """No per-observation storage: the estimator keeps 5 markers."""
-    s = StreamingLatency(quantiles=(0.99,))
-    for i in range(100_000):
-        s.observe(float(i % 17))
-    est = s._estimators[0.99]
-    assert len(est._heights) == 5
-    assert len(est._initial) == 5
+def test_pair_stats_percentile_is_exact():
+    rig = Rig(seed=0)
+    stats = rig.run_impl("BP", regular_trace(2000.0, 2.0), 2.0, PCConfig()).stats
+    samples = stats.latency.samples
+    assert len(samples) == stats.consumed > 0
+    for q in (50, 75, 95, 99):
+        assert stats.latency_percentile(q) == np.percentile(samples, q)
+    assert stats.max_latency_s == max(samples)

@@ -128,10 +128,10 @@ def test_item_latency_exact_for_bp():
     B, g, s = 10, 1e-2, 1e-3
     cfg = PCConfig(
         buffer_size=B, service_time_s=s, sync_overhead_s=0.0,
-        max_response_latency_s=10.0, track_latencies=True,
+        max_response_latency_s=10.0,
     )
     impl = BatchProcessing(env, core, timers, regular(1 / g, 10.0), cfg).start()
     env.run(until=10.0)
-    first_batch = impl.stats.latencies[:B]
+    first_batch = impl.stats.latency.samples[:B]
     expected = [(B - k) * g + 1e-6 + k * s for k in range(1, B + 1)]
     assert first_batch == pytest.approx(expected, rel=1e-9)
