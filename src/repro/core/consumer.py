@@ -340,6 +340,8 @@ class LatchingConsumer:
         cfg = self.config
         stats = self.stats
         record_latency = stats.record_latency
+        metrics = self.metrics
+        inc_consumed = self._m_consumed.inc
         item_cost_s = self._item_cost_s
         base_cost = type(self)._item_cost_s is LatchingConsumer._item_cost_s
         deadline_s = cfg.max_response_latency_s
@@ -412,13 +414,14 @@ class LatchingConsumer:
                     yield timeout(duration)
                 account_busy(owner, duration)
                 stats.consumed += 1
-                record_latency(env.now - t, deadline_s, now_s=env.now)
+                # Counted per item so the counter equals stats.consumed
+                # at any cut-off, including one that lands mid-batch.
+                if metrics:
+                    inc_consumed()
+                record_latency(env.now - t, deadline_s, env.now)
                 self.in_flight -= 1
-            if self.metrics:
-                # Batch-level accounting: one observe + one add per
-                # batch, never per item.
+            if metrics:
                 self._m_batch_items.observe(len(batch))
-                self._m_consumed.inc(len(batch))
 
             # Prediction update (r_j over the inter-invocation gap).
             gap = env.now - self._last_invocation

@@ -96,11 +96,12 @@ class PairStats:
     last_miss_s: float = float("-inf")
 
     def record_latency(
-        self, latency_s: float, deadline_s: float, now_s: float = None
+        self, latency_s: float, deadline_s: float, now_s: float
     ) -> None:
+        """Record one item served at ``now_s`` after ``latency_s``."""
         if latency_s > deadline_s:
             self.deadline_misses += 1
-            if now_s is not None and now_s > self.last_miss_s:
+            if now_s > self.last_miss_s:
                 self.last_miss_s = now_s
         self.latency.observe(latency_s)
 

@@ -46,6 +46,8 @@ class _EDFPair:
         self.buffer = RingBuffer(config.buffer_size)
         self.stats = PairStats()
         self.in_flight = 0
+        #: Per-item service time multiplier (ConsumerSlowdown faults).
+        self.service_scale = 1.0
         self._space_event = None
         #: Arrival time of the oldest buffered item (None when empty).
         self.oldest_arrival: Optional[float] = None
@@ -145,10 +147,12 @@ class EDFCoordinator:
                 pair.oldest_arrival = None
                 pair.notify_space()
                 for t in batch:
-                    yield from hold.busy(pair.config.service_time_s)
+                    yield from hold.busy(
+                        pair.config.service_time_s * pair.service_scale
+                    )
                     pair.stats.consumed += 1
                     pair.stats.record_latency(
-                        env.now - t, pair.config.max_response_latency_s
+                        env.now - t, pair.config.max_response_latency_s, env.now
                     )
                     pair.in_flight -= 1
             hold.release()

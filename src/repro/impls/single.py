@@ -110,8 +110,9 @@ class PCImplementation:
 
     def _record_consumed(self, produced_t: float) -> None:
         self.stats.consumed += 1
+        now = self.env.now
         self.stats.record_latency(
-            self.env.now - produced_t, self.config.max_response_latency_s
+            now - produced_t, self.config.max_response_latency_s, now
         )
 
     # -- lifecycle -------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Every multi-pair system aggregates its pairs the same way."""
 
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.core import PBPLConfig, PBPLSystem
+from repro.faults import ConsumerSlowdown, FaultPlan, RuntimeInjector
 from repro.impls import (
     EDFBatchSystem,
     MultiPairSystem,
@@ -13,6 +15,7 @@ from repro.impls import (
     PCConfig,
     phase_shifted_traces,
 )
+from repro.metrics.quantiles import StreamingLatency
 from tests.impls.conftest import Rig, regular_trace
 
 COUNTERS = [f.name for f in fields(PairStats) if f.type == "int"]
@@ -24,8 +27,8 @@ def pbpl(rig, traces):
     return system, [c.stats for c in system.consumers]
 
 
-def multi_bp(rig, traces):
-    system = MultiPairSystem(rig.env, rig.machine, "BP", traces, PCConfig())
+def multi(rig, traces, impl="BP"):
+    system = MultiPairSystem(rig.env, rig.machine, impl, traces, PCConfig())
     return system, [p.stats for p in system.pairs]
 
 
@@ -37,7 +40,7 @@ def edf(rig, traces):
 # (builder, counters the system takes from its own wakeup sources)
 SYSTEMS = {
     "PBPL": (pbpl, {"scheduled_wakeups"}),
-    "Multi(BP)": (multi_bp, set()),
+    "Multi(BP)": (multi, set()),
     "EDF": (edf, {"scheduled_wakeups", "overflow_wakeups", "invocations"}),
 }
 
@@ -64,3 +67,44 @@ def test_aggregate_is_per_pair_sum_max_and_pool(name):
     assert pooled.size > 0
     for q in (50, 95, 99):
         assert agg.latency_percentile(q) == np.percentile(pooled, q)
+
+
+class StampedLatency(StreamingLatency):
+    """A latency record that also logs when each sample was observed."""
+
+    __slots__ = ("env", "times")
+
+    def __init__(self, env):
+        super().__init__()
+        self.env = env
+        self.times = []
+
+    def observe(self, latency_s):
+        super().observe(latency_s)
+        self.times.append(self.env.now)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [partial(multi, impl="Mutex"), partial(multi, impl="BP"), edf],
+    ids=["Multi(Mutex)", "Multi(BP)", "EDF"],
+)
+def test_baseline_last_miss_is_time_of_last_deadline_miss(build):
+    rig = Rig(seed=0)
+    system, pair_stats = build(rig, phase_shifted_traces(regular_trace(800.0, 1.0), 3))
+    for s in pair_stats:
+        s.latency = StampedLatency(rig.env)
+    plan = FaultPlan([ConsumerSlowdown(0.3, 0.2, factor=500.0)])
+    system.start()
+    RuntimeInjector(rig.env, system, plan).start()
+    rig.env.run(until=1.0)
+    deadline = PCConfig().max_response_latency_s
+    all_misses = []
+    for s in pair_stats:
+        misses = [t for t, lat in zip(s.latency.times, s.latency.samples) if lat > deadline]
+        assert s.last_miss_s == max(misses, default=float("-inf"))
+        all_misses += misses
+    agg = system.aggregate_stats()
+    assert agg.deadline_misses == len(all_misses) > 0
+    assert agg.last_miss_s == max(all_misses)
+    assert agg.last_miss_s > plan.last_fault_end_s  # non-zero recovery time

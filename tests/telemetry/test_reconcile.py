@@ -6,6 +6,7 @@ import pytest
 
 from repro.harness.runner import CONSUMER_CORE
 from repro.telemetry import (
+    MetricsRegistry,
     reconcile_core_wakeups,
     reconcile_counters,
     reconcile_energy,
@@ -19,6 +20,19 @@ from tests.telemetry.conftest import SPEC
 def test_counters_match_run_metrics(metered_run, metered_snapshot):
     checks = reconcile_counters(metered_snapshot, metered_run.stats)
     assert len(checks) == 6
+    assert all(c.ok for c in checks), render_checks(checks)
+
+
+@pytest.mark.parametrize("seed", [106, 2014])
+def test_consumed_counter_matches_at_a_mid_batch_cut_off(seed):
+    """The run cut-off can land inside a batch (seed 106 does, at 2 s
+    with 5 consumers); items served so far must already be counted."""
+    registry = MetricsRegistry()
+    run = record_run(
+        "PBPL", "webserver", duration_s=2.0, n_consumers=5, seed=seed,
+        metrics=registry,
+    )
+    checks = reconcile_counters(registry.snapshot(), run.stats)
     assert all(c.ok for c in checks), render_checks(checks)
 
 
