@@ -41,8 +41,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.sim.environment import Environment, _StopSimulation
-from repro.sim.errors import SimulationError
+from repro.sim.environment import Environment
 from repro.sim.events import NORMAL, Event
 
 # ---------------------------------------------------------------------------
@@ -205,6 +204,23 @@ class SimultaneitySanitizer:
         self._current = None
         self._origin = 0
 
+    def dispatch(self, entry: tuple, callbacks: list) -> None:
+        """The kernel's dispatch hook: run ``callbacks`` with the event
+        recorded as the dispatch in flight and the probes live."""
+        when, priority, _eid, event = entry
+        # describe() names the waiters from event.callbacks, which the
+        # loop has just taken off the event: put them back to label it.
+        event.callbacks = callbacks
+        self.begin_dispatch(event, when, priority)
+        event.callbacks = None
+        token = _activate(self)
+        try:
+            for callback in callbacks:
+                callback(event)
+        finally:
+            _deactivate(token)
+            self.end_dispatch()
+
     def touch(self, obj: Any, op: str) -> None:
         """A probed mutating method ran on ``obj`` during some dispatch."""
         record = self._current
@@ -280,8 +296,8 @@ class SanitizingEnvironment(Environment):
 
     Scheduling order, dispatch order and simulated behaviour are
     byte-identical to the base environment — the subclass only *records*
-    (call sites at schedule time, touch sets at dispatch time) and
-    activates the probe hook while its run loop is live.
+    call sites at schedule time, and installs the sanitizer as the
+    kernel's dispatch hook to record touch sets at dispatch time.
     """
 
     def __init__(
@@ -291,6 +307,7 @@ class SanitizingEnvironment(Environment):
     ) -> None:
         super().__init__(initial_time)
         self.sanitizer = sanitizer or SimultaneitySanitizer()
+        self.dispatch_hook = self.sanitizer.dispatch
 
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         super().schedule(event, delay, priority)
@@ -300,83 +317,6 @@ class SanitizingEnvironment(Environment):
         event = super().timeout(delay, value)
         self.sanitizer.on_schedule(event, self.now + delay, NORMAL)
         return event
-
-    def step(self) -> None:
-        entry = self._pop_entry()
-        if entry is None:
-            raise SimulationError("step() on an empty schedule")
-        sanitizer = self.sanitizer
-        when, prio, _eid, event = entry
-        self.now = when
-        self.events_processed += 1
-        sanitizer.begin_dispatch(event, when, prio)
-        callbacks = event.callbacks
-        event.callbacks = None
-        assert callbacks is not None
-        token = _activate(sanitizer)
-        try:
-            for callback in callbacks:
-                callback(event)
-        finally:
-            _deactivate(token)
-            sanitizer.end_dispatch()
-        if not event._ok and not event._defused:
-            exc = event._exc
-            assert exc is not None
-            raise exc
-
-    def run(self, until=None) -> Any:
-        """The base run loop with sanitizer hooks around each dispatch.
-
-        Uses the calendar queue's single-event surface (``peek`` /
-        ``_pop_entry``) instead of mirroring the batched drain: the
-        sanitizer needs the ``(when, priority)`` of every entry anyway,
-        and batch dispatch changes nothing it observes — equal-timestamp
-        events still arrive consecutively in (priority, eid) order.
-        """
-        sanitizer = self.sanitizer
-        pop_entry = self._pop_entry
-        peek = self.peek
-        processed = 0
-        watched: Optional[Event] = None
-        stop_at = float("inf")
-        token = _activate(sanitizer)
-        try:
-            stop_at, watched = self._arm_until(until)
-            while peek() < stop_at:
-                entry = pop_entry()
-                assert entry is not None  # peek() was finite
-                when, prio, _eid, event = entry
-                self.now = when
-                processed += 1
-                sanitizer.begin_dispatch(event, when, prio)
-                callbacks = event.callbacks
-                event.callbacks = None
-                try:
-                    for callback in callbacks:
-                        callback(event)
-                finally:
-                    sanitizer.end_dispatch()
-                if not event._ok and not event._defused:
-                    exc = event._exc
-                    assert exc is not None
-                    raise exc
-        except _StopSimulation as stop:
-            if not stop.event._ok:
-                assert stop.event._exc is not None
-                raise stop.event._exc from None
-            return stop.event._value
-        finally:
-            _deactivate(token)
-            self.events_processed += processed
-        if watched is not None:
-            raise SimulationError(
-                "run(until=event) exhausted the schedule before the event "
-                "triggered — likely a deadlock"
-            )
-        if stop_at != float("inf"):
-            self.now = stop_at
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -707,8 +707,11 @@ def golden_path(name: str, directory: Path = GOLDEN_DIR) -> Path:
 GOLDEN_TRACE_PATH = golden_path("pbpl_smoke")
 
 
-def _record_golden(output: Path, spec: Optional[dict] = None) -> None:
-    """Record one golden spec's run as streaming JSONL at ``output``."""
+def _record_golden(
+    output: Path, spec: Optional[dict] = None, profiler=None
+) -> None:
+    """Record one golden spec's run as streaming JSONL at ``output``
+    (``profiler``, a ``KernelProfiler``, is passed on to ``record_run``)."""
     from repro.trace import StreamingTraceWriter, record_run
 
     spec = spec or GOLDEN_SPEC
@@ -720,6 +723,7 @@ def _record_golden(output: Path, spec: Optional[dict] = None) -> None:
         n_consumers=spec["n_consumers"],
         seed=spec["seed"],
         stream=writer,
+        profiler=profiler,
     )
     writer.close(
         dropped=run.tracer.dropped_events, ledger_total_j=run.ledger_total_j

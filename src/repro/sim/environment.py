@@ -22,8 +22,10 @@ The run loop is deliberately flat: every experiment in this repository
 is bottlenecked on :meth:`Environment.run`, so the hot path binds its
 locals once and walks the active bucket without per-event method
 calls. :meth:`step` remains for callers that need single-event
-control; both share :meth:`_pop_entry`, which is also the supported
-surface for the sanitizer's and profiler's instrumented run loops.
+control. Instrumentation does not get a loop of its own: the
+profiler and the sanitizer set :attr:`Environment.dispatch_hook`, and
+the one loop hands each popped entry and its callbacks to that hook
+instead of running them inline.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 from bisect import insort
 from heapq import heapify, heappop, heappush
 from itertools import count
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Callable, Iterable, Optional, Union
 
 from repro.sim.errors import SimulationError
 from repro.sim.events import (
@@ -57,6 +59,12 @@ class _StopSimulation(Exception):
     def __init__(self, event: Event) -> None:
         super().__init__(event)
         self.event = event
+
+
+def _stop_simulation(event: Event) -> None:
+    """The callback ``run(until=event)`` arms on its watched event."""
+    event._defused = True
+    raise _StopSimulation(event)
 
 
 class Environment:
@@ -111,6 +119,13 @@ class Environment:
         #: ``repro bench`` kernel micro-benchmark divides this by wall
         #: time for its events/sec figure.
         self.events_processed = 0
+        #: Dispatch hook. When set, the run loop (and :meth:`step`)
+        #: hands it each popped ``(when, priority, eid, event)`` entry
+        #: plus the event's callbacks list, and the hook runs the
+        #: callbacks — the profiler times them, the sanitizer records
+        #: what they touch. ``None`` runs them inline. Read once per
+        #: ``run``/``step`` call.
+        self.dispatch_hook: Optional[Callable[[tuple, list], None]] = None
 
     # -- clock & introspection ------------------------------------------
     @property
@@ -189,9 +204,8 @@ class Environment:
     def _pop_entry(self) -> Optional[tuple]:
         """Consume and return the next ``(when, priority, eid, event)``.
 
-        Returns None when no events remain. This is the single-event
-        twin of the batched drain in :meth:`run` and the supported hook
-        for instrumented loops (sanitizer, profiler).
+        Returns None when no events remain. This is :meth:`step`'s
+        single-event twin of the batched drain in :meth:`run`.
         """
         i = self._ridx
         if i >= len(self._active):
@@ -293,6 +307,7 @@ class Environment:
     # -- execution ----------------------------------------------------------
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
+        dispatch = self.dispatch_hook
         entry = self._pop_entry()
         if entry is None:
             raise SimulationError("step() on an empty schedule")
@@ -302,8 +317,11 @@ class Environment:
         callbacks = event.callbacks
         event.callbacks = None
         assert callbacks is not None
-        for callback in callbacks:
-            callback(event)
+        if dispatch is None:
+            for callback in callbacks:
+                callback(event)
+        else:
+            dispatch(entry, callbacks)
         if not event._ok and not event._defused:
             # A failure nobody handled: surface it instead of dropping it.
             exc = event._exc
@@ -326,6 +344,7 @@ class Environment:
         # bursts included — dispatches in one linear sweep; heap work
         # happens only once per occupied bucket, in _advance().
         advance = self._advance
+        dispatch = self.dispatch_hook
         active = self._active
         i = self._ridx
         processed = 0
@@ -354,8 +373,11 @@ class Environment:
                 event = entry[3]
                 callbacks = event.callbacks
                 event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
+                if dispatch is None:
+                    for callback in callbacks:
+                        callback(event)
+                else:
+                    dispatch(entry, callbacks)
                 if active is not self._active:
                     # A callback replaced the active bucket — via
                     # set_bucket_width() re-bucketing, or a peek() that
@@ -375,6 +397,11 @@ class Environment:
             return stop.event._value
         finally:
             self.events_processed += processed
+            if watched is not None and watched.callbacks is not None:
+                # Leaving other than through the watched event (a failure
+                # or a drained schedule): disarm it, or a later run/step
+                # would stop when it fires.
+                watched.callbacks.remove(_stop_simulation)
         if watched is not None:
             raise SimulationError(
                 "run(until=event) exhausted the schedule before the event "
@@ -399,7 +426,7 @@ class Environment:
             watched = until
             if watched.callbacks is None:  # already processed
                 raise _StopSimulation(watched)
-            watched.callbacks.append(self._stop_callback)
+            watched.callbacks.append(_stop_simulation)
         elif until is not None:
             stop_at = float(until)
             if stop_at < self.now:
@@ -407,11 +434,6 @@ class Environment:
                     f"run(until={stop_at}) is in the past (now={self.now})"
                 )
         return stop_at, watched
-
-    @staticmethod
-    def _stop_callback(event: Event) -> None:
-        event._defused = True
-        raise _StopSimulation(event)
 
     def __repr__(self) -> str:
         return f"<Environment now={self.now} queued={len(self)}>"

@@ -20,8 +20,9 @@ Typical use::
     print(to_openmetrics(registry.snapshot()))
 
 The package also hosts the deterministic DES self-profiler
-(:class:`KernelProfiler`), which mirrors the kernel's dispatch loop
-while timing every callback through the ``harness/clock`` shim.
+(:class:`KernelProfiler`), which runs the kernel's own loop through its
+dispatch hook while timing every callback through the ``harness/clock``
+shim.
 """
 
 from repro.telemetry.export import (

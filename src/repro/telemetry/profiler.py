@@ -1,12 +1,12 @@
 """Deterministic DES self-profiler: who burns the dispatch budget?
 
 The compiled-kernel direction needs to know *which* handlers dominate
-event dispatch before anything is worth compiling. This profiler drives
-the simulation itself — a faithful mirror of
-:meth:`repro.sim.environment.Environment.run`'s inlined hot loop
-(identical pop order, ``until`` semantics, failure propagation and
-``events_processed`` accounting) — and wraps every callback invocation
-in a :func:`repro.harness.clock.perf_counter` pair.
+event dispatch before anything is worth compiling. This profiler runs
+the kernel's own loop, :meth:`repro.sim.environment.Environment.run`,
+with its dispatch hook set, and the hook wraps every callback
+invocation in a :func:`repro.harness.clock.perf_counter` pair. Pop
+order, ``until`` semantics, failure propagation and
+``events_processed`` are therefore the kernel's, not a copy of them.
 
 Two kinds of output coexist deliberately:
 
@@ -25,11 +25,10 @@ functions report their qualname.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
 from repro.harness.clock import perf_counter
-from repro.sim.environment import _StopSimulation
-from repro.sim.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.environment import Environment
@@ -97,7 +96,7 @@ class ProfileReport:
 
 
 class KernelProfiler:
-    """Drives an :class:`Environment` while timing every dispatch."""
+    """Runs an :class:`Environment` while timing every dispatch."""
 
     def __init__(self) -> None:
         # (event type name, handler label) -> [dispatches, self seconds]
@@ -106,64 +105,44 @@ class KernelProfiler:
         self._events = 0
 
     def run(self, env: "Environment", until=None):
-        """Mirror of ``Environment.run`` with per-callback timing.
+        """``env.run(until)`` with every callback dispatch timed."""
+        with self.attached(env):
+            return env.run(until)
 
-        Drives the calendar queue through its single-event surface
-        (``peek`` / ``_pop_entry``) — dispatch order and counts stay
-        byte-identical to the batched drain, only the per-callback
-        timing wrappers differ.
+    @contextmanager
+    def attached(self, env: "Environment") -> Iterator[None]:
+        """Time every dispatch ``env`` makes inside the ``with`` block.
+
+        Sets the profiler as ``env``'s dispatch hook and puts the
+        previous hook back on exit; the events it counts are the growth
+        of ``env.events_processed``.
         """
-        pop_entry = env._pop_entry
-        peek = env.peek
-        acc = self._acc
-        processed = 0
-        watched = None
-        stop_at = float("inf")
+        previous = env.dispatch_hook
+        env.dispatch_hook = self._dispatch
+        events_before = env.events_processed
         t_start = perf_counter()
         try:
-            stop_at, watched = env._arm_until(until)
-            while peek() < stop_at:
-                entry = pop_entry()
-                assert entry is not None  # peek() was finite
-                when = entry[0]
-                event = entry[3]
-                env.now = when
-                processed += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                etype = type(event).__name__
-                for callback in callbacks:
-                    key = (etype, _handler_label(callback))
-                    t0 = perf_counter()
-                    callback(event)
-                    dt = perf_counter() - t0
-                    cell = acc.get(key)
-                    if cell is None:
-                        acc[key] = [1, dt]
-                    else:
-                        cell[0] += 1
-                        cell[1] += dt
-                if not event._ok and not event._defused:
-                    exc = event._exc
-                    assert exc is not None
-                    raise exc
-        except _StopSimulation as stop:
-            if not stop.event._ok:
-                assert stop.event._exc is not None
-                raise stop.event._exc from None
-            return stop.event._value
+            yield
         finally:
-            env.events_processed += processed
-            self._events += processed
+            env.dispatch_hook = previous
+            self._events += env.events_processed - events_before
             self._wall_s += perf_counter() - t_start
-        if watched is not None:
-            raise SimulationError(
-                "run(until=event) exhausted the schedule before the event "
-                "triggered — likely a deadlock"
-            )
-        if stop_at != float("inf"):
-            env.now = stop_at
-        return None
+
+    def _dispatch(self, entry: tuple, callbacks: list) -> None:
+        event = entry[3]
+        etype = type(event).__name__
+        acc = self._acc
+        for callback in callbacks:
+            key = (etype, _handler_label(callback))
+            t0 = perf_counter()
+            callback(event)
+            dt = perf_counter() - t0
+            cell = acc.get(key)
+            if cell is None:
+                acc[key] = [1, dt]
+            else:
+                cell[0] += 1
+                cell[1] += dt
 
     def dispatch_counts(self) -> Dict[Tuple[str, str], int]:
         """Deterministic dispatch counts (no timing)."""

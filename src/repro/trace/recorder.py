@@ -20,6 +20,7 @@ Scenarios:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -120,8 +121,8 @@ def record_run(
     plus a :class:`~repro.telemetry.collectors.PowerCollector` watching
     every core); ``window_s`` additionally arms tumbling-window
     aggregation, and ``profiler`` (a :class:`~repro.telemetry.profiler.
-    KernelProfiler`) drives the run through the self-profiling event
-    loop instead of ``env.run``.
+    KernelProfiler`) is attached as the environment's dispatch hook for
+    the run, timing every callback without changing what runs.
     """
     params = StandardParams(duration_s=duration_s, seed=seed)
     plan = _fault_plan(scenario, duration_s, n_consumers)
@@ -235,9 +236,7 @@ def record_run(
     if plan.runtime_faults:
         RuntimeInjector(rig.env, system, plan, tracer=tracer).start()
 
-    if profiler is not None:
-        profiler.run(rig.env, until=duration_s)
-    else:
+    with profiler.attached(rig.env) if profiler is not None else nullcontext():
         rig.env.run(until=duration_s)
     power_listener.finalize()
     tracer.finalize()

@@ -6,6 +6,9 @@ from repro.analysis.sanitizer import (
     sanitize_scenario,
 )
 from repro.core.slots import SlotTrack
+from repro.faults.chaos import DEFAULT_SCENARIOS, run_scenario
+from repro.harness.params import StandardParams
+from repro.sim import Environment
 
 
 def _sanitized_env():
@@ -140,9 +143,26 @@ def test_injected_race_still_flagged_under_batched_dispatch():
 
 def test_golden_scenario_sanitizes_clean():
     from repro.faults.chaos import SMOKE_SCENARIOS
-    from repro.harness.params import StandardParams
 
     params = StandardParams(duration_s=0.3, seed=2014)
     report = sanitize_scenario(SMOKE_SCENARIOS[0], params, n_consumers=2)
     assert report.ok, report.render()
     assert report.events_seen > 100
+
+
+def test_sanitized_chaos_runs_match_plain_runs():
+    """The sanitizer only observes: on real rigs (independent pairs and
+    the fan-in/fan-out pipeline) a sanitized run scores exactly like a
+    plain one and processes exactly the same events."""
+    by_name = {s.name: s for s in DEFAULT_SCENARIOS}
+    params = StandardParams(duration_s=0.3, seed=2014)
+    for name in ("clean", "pipeline-diamond"):
+        plain_env = Environment()
+        plain = run_scenario(by_name[name], params, 3, env=plain_env)
+        sanitized_env = _sanitized_env()
+        sanitized = run_scenario(by_name[name], params, 3, env=sanitized_env)
+        assert sanitized == plain, name
+        assert sanitized_env.events_processed == plain_env.events_processed > 0
+        report = sanitized_env.sanitizer.finish()
+        assert report.ok, report.render()
+        assert report.events_seen == sanitized_env.events_processed

@@ -6,7 +6,10 @@ that the old binary heap produced, for any stream of schedulings,
 including same-timestamp bursts, URGENT/NORMAL ties and events scheduled
 *during* a same-bucket drain. These tests pin that equivalence against
 an executable heap model, and cover the width knobs that must never
-change results.
+change results. The two model properties also vary how the loop is
+driven — plainly, through the self-profiler, or under the sanitizer —
+since the instrumented runs go through the same loop via its dispatch
+hook and must dispatch in exactly the same order.
 """
 
 import heapq
@@ -15,9 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._compiled import PURE, kernel_backend
+from repro.analysis.sanitizer import SanitizingEnvironment
 from repro.sim import Environment
 from repro.sim.errors import SimulationError
 from repro.sim.events import NORMAL, URGENT
+from repro.telemetry import KernelProfiler
 
 #: Delay grid dense in collisions: exact ties, sub-bucket spacings,
 #: bucket-boundary values (default width 1e-3), and far-apart outliers.
@@ -32,6 +37,14 @@ delays_st = st.one_of(
 )
 priority_st = st.sampled_from([URGENT, NORMAL])
 
+#: How the loop is driven: name -> (environment factory, run call).
+DRIVERS = {
+    "plain": (Environment, lambda env: env.run()),
+    "profiler": (Environment, lambda env: KernelProfiler().run(env)),
+    "sanitizer": (SanitizingEnvironment, lambda env: env.run()),
+}
+driver_st = st.sampled_from(sorted(DRIVERS))
+
 
 def _recorded_event(env, order, tag):
     ev = env.event()
@@ -45,16 +58,19 @@ def _recorded_event(env, order, tag):
         st.tuples(delays_st, priority_st), min_size=1, max_size=80
     ),
     width=st.sampled_from([1e-4, 1e-3, 1e-2, 0.6, 1e6]),
+    driver=driver_st,
 )
 @settings(max_examples=200, deadline=None)
-def test_dispatch_order_matches_heap_model(entries, width):
-    env = Environment(bucket_width_s=width)
+def test_dispatch_order_matches_heap_model(entries, width, driver):
+    make_env, run = DRIVERS[driver]
+    env = make_env()
+    env.set_bucket_width(width)
     order = []
     heap = []
     for eid, (delay, priority) in enumerate(entries):
         env.schedule(_recorded_event(env, order, eid), delay, priority)
         heapq.heappush(heap, (delay, priority, eid))
-    env.run()
+    run(env)
     expected = []
     while heap:
         expected.append(heapq.heappop(heap)[2])
@@ -78,14 +94,16 @@ def test_dispatch_order_matches_heap_model(entries, width):
         ),
         min_size=1,
         max_size=30,
-    )
+    ),
+    driver=driver_st,
 )
 @settings(max_examples=200, deadline=None)
-def test_mid_dispatch_scheduling_matches_heap_model(entries, ):
+def test_mid_dispatch_scheduling_matches_heap_model(entries, driver):
     # Real run: each initial event's callback schedules its children,
     # so URGENT children at the *current* timestamp must slot into the
     # still-pending suffix of the active bucket.
-    env = Environment()
+    make_env, run = DRIVERS[driver]
+    env = make_env()
     order = []
 
     def make_event(tag, children):
@@ -102,7 +120,7 @@ def test_mid_dispatch_scheduling_matches_heap_model(entries, ):
 
     for i, (delay, priority, children) in enumerate(entries):
         env.schedule(make_event(i, children), delay, priority)
-    env.run()
+    run(env)
 
     # Heap model: same eid assignment discipline (one eid per schedule
     # call, children numbered at dispatch time).

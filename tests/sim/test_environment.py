@@ -86,6 +86,47 @@ def test_run_until_untriggered_event_with_empty_schedule_raises():
         env.run(until=pending)
 
 
+def _fail_run_until_event(env):
+    """``run(until=<t=2 timeout>)`` while a process raises at t=1."""
+
+    def boom(env):
+        yield env.timeout(1.0)
+        raise RuntimeError("boom")
+
+    watched = env.timeout(2.0, "x")
+    env.process(boom(env))
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run(until=watched)
+    assert env.now == 1.0
+    return watched
+
+
+def test_failed_run_until_event_does_not_stop_a_later_run():
+    env = Environment()
+    watched = _fail_run_until_event(env)
+    assert env.run(until=5.0) is None
+    assert env.now == 5.0
+    assert watched.processed
+
+
+def test_failed_run_until_event_does_not_leak_into_step():
+    env = Environment()
+    watched = _fail_run_until_event(env)
+    env.step()  # the watched timeout fires: no stop callback left on it
+    assert env.now == 2.0
+    assert watched.processed
+
+
+def test_deadlocked_run_until_event_disarms_the_event():
+    env = Environment()
+    pending = env.event()
+    with pytest.raises(SimulationError, match="deadlock"):
+        env.run(until=pending)
+    pending.succeed("late")
+    env.step()
+    assert pending.processed
+
+
 def test_peek_reports_next_event_time():
     env = Environment()
     env.timeout(7.0)

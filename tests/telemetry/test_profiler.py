@@ -2,9 +2,12 @@
 are measured, the hot-spot table renders, and profiling does not change
 what the simulation computes."""
 
+import dataclasses
+
 from repro.sim import Environment
 from repro.telemetry import KernelProfiler
 from repro.trace import record_run
+from repro.trace.tracer import TraceEvent
 
 from tests.telemetry.conftest import SPEC
 
@@ -48,6 +51,62 @@ def test_profiler_matches_unprofiled_run():
     env_b.run(until=1.0)
     assert hits_a == hits_b
     assert env_a.now == env_b.now
+
+
+def _trace_rows(run):
+    return [
+        tuple(getattr(event, slot) for slot in TraceEvent.__slots__)
+        for event in run.tracer.events
+    ]
+
+
+def _stats_row(stats):
+    row = {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)}
+    latency = row.pop("latency")
+    return row, latency.samples, latency.total, latency.maximum
+
+
+def test_failed_profiled_run_restores_the_hook():
+    env = Environment()
+
+    def boom():
+        yield env.timeout(1.0)
+        raise RuntimeError("boom")
+
+    watched = env.timeout(2.0, "x")
+    env.process(boom(), name="boom")
+    profiler = KernelProfiler()
+    try:
+        profiler.run(env, until=watched)
+    except RuntimeError:
+        pass
+    else:
+        raise AssertionError("the failure was swallowed")
+    assert env.dispatch_hook is None
+    assert profiler.report().events_processed == env.events_processed
+    # The failed run left no stop callback behind on the watched event.
+    assert env.run(until=5.0) is None
+    assert env.now == 5.0
+
+
+def test_profiled_record_run_matches_unprofiled_run():
+    """On a real rig the profiler only observes: the recorded trace
+    events and the run statistics equal those of the plain run."""
+    runs = [
+        record_run(
+            SPEC["impl"],
+            SPEC["scenario"],
+            duration_s=SPEC["duration_s"],
+            n_consumers=SPEC["n_consumers"],
+            seed=SPEC["seed"],
+            profiler=profiler,
+        )
+        for profiler in (None, KernelProfiler())
+    ]
+    plain, profiled = runs
+    assert _trace_rows(profiled) == _trace_rows(plain)
+    assert _stats_row(profiled.stats) == _stats_row(plain.stats)
+    assert profiled.ledger_total_j == plain.ledger_total_j
 
 
 def test_dispatch_counts_are_deterministic_across_runs():
