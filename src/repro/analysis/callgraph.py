@@ -33,7 +33,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 #: Bump when the shape of the facts dict changes; the cache discards
 #: entries written by a different extractor version.
-FACTS_SCHEMA = 3
+FACTS_SCHEMA = 4
 
 #: How many re-export / summary hops a resolution may take before the
 #: analysis gives up (keeps cyclic import graphs and pathological alias
@@ -92,7 +92,9 @@ def extract_facts(ctx, local_findings, pragmas) -> dict:
 
     ``local_findings`` are the per-module rule results *before*
     suppression and ``pragmas`` the parsed pragma records — both stored
-    raw so a cache hit can replay filtering without the source text.
+    raw so a cache hit can replay filtering without the source text. The
+    determinism walker's depth-0 findings (DET001-004) join the local
+    findings here.
     """
     from repro.analysis.rules_layer import imported_modules, iter_runtime_imports
     from repro.analysis.taint import extract_function_facts
@@ -103,7 +105,9 @@ def extract_facts(ctx, local_findings, pragmas) -> dict:
         for module, node in imported_modules(stmt, ctx.module or ""):
             runtime_imports.append((module, node.lineno))
 
-    functions, sched_sites, sinks, calls = extract_function_facts(ctx, mid)
+    functions, sched_sites, sinks, calls, det_findings = extract_function_facts(
+        ctx, mid
+    )
 
     return {
         "schema": FACTS_SCHEMA,
@@ -122,7 +126,7 @@ def extract_facts(ctx, local_findings, pragmas) -> dict:
                 "code": f.code,
                 "message": f.message,
             }
-            for f in local_findings
+            for f in list(local_findings) + det_findings
         ],
         "functions": functions,
         "sched_sites": sched_sites,

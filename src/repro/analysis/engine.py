@@ -5,7 +5,8 @@ file once into a :class:`ModuleContext` (AST + resolved import aliases +
 layer identity), hands it to every registered per-module rule, and
 distills the file into a JSON-serializable *facts* record (imports,
 taint summaries, scheduling sites, pragmas, the local findings
-themselves). Facts are what the incremental cache under
+themselves — DET001-004 among them, found by the same determinism walk
+that writes the taint summaries). Facts are what the incremental cache under
 ``results/.lintcache`` stores — a warm run skips the parse and the local
 rules for every unchanged file. The **project** pass stitches all facts
 into a :class:`~repro.analysis.callgraph.Project` and runs the
@@ -391,11 +392,9 @@ def _default_metric_names_path() -> Path:
     return Path(repro.__file__).resolve().parent / "telemetry" / "names.py"
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="Static determinism/purity/layering analysis for src/repro.",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The lint options, for both ``python -m repro.analysis`` and the
+    ``repro lint`` subcommand."""
     parser.add_argument(
         "paths",
         nargs="*",
@@ -461,8 +460,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="override the generated telemetry names.py location "
         "(with --write-names; given alone, only the metric table is written)",
     )
-    args = parser.parse_args(argv)
 
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro lint",
+        description="Static determinism/purity/layering analysis for src/repro.",
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
+
+
+def run(args: argparse.Namespace) -> int:
+    """Lint with parsed :func:`add_arguments` options; the exit code."""
     paths = [Path(p) for p in args.paths]
     missing = [p for p in paths if not p.exists()]
     if missing:

@@ -1,8 +1,11 @@
 """Rule registry and ``# repro: allow[...]`` suppression parsing.
 
-Rules self-register with :func:`register`; the engine iterates
-:func:`all_rules` in code order so output is stable regardless of import
-order. Suppressions are comment pragmas::
+Rules self-register with :func:`register` (per-module ``check``),
+:func:`register_project` (whole-program ``check_project``) or
+:func:`declare` (findings recorded by the determinism walker during fact
+extraction, DET001-004); the engine iterates :func:`all_rules` in code
+order so output is stable regardless of import order. Suppressions are
+comment pragmas::
 
     x = time.time()  # repro: allow[DET001] -- harness boot banner
 
@@ -76,6 +79,8 @@ class ProjectRule:
 
 _REGISTRY: Dict[str, LintRule] = {}
 _PROJECT_REGISTRY: Dict[str, ProjectRule] = {}
+#: code -> one-line summary of every registered rule, whatever its kind.
+_SUMMARIES: Dict[str, str] = {}
 
 
 def register(cls):
@@ -85,6 +90,7 @@ def register(cls):
     if cls.code in _REGISTRY:
         raise ValueError(f"duplicate rule code {cls.code}")
     _REGISTRY[cls.code] = cls()
+    _SUMMARIES[cls.code] = cls.summary
     return cls
 
 
@@ -95,7 +101,16 @@ def register_project(cls):
     if cls.code in _PROJECT_REGISTRY:
         raise ValueError(f"duplicate project rule code {cls.code}")
     _PROJECT_REGISTRY[cls.code] = cls()
+    _SUMMARIES.setdefault(cls.code, cls.summary)
     return cls
+
+
+def declare(code: str, summary: str) -> None:
+    """Register a code whose findings the fact-extraction walk records
+    itself (no ``check`` method runs for it)."""
+    if code in _SUMMARIES:
+        raise ValueError(f"duplicate rule code {code}")
+    _SUMMARIES[code] = summary
 
 
 def all_rules() -> List[LintRule]:
@@ -109,15 +124,12 @@ def all_project_rules() -> List[ProjectRule]:
 
 
 def rule_codes() -> List[str]:
-    return sorted(set(_REGISTRY) | set(_PROJECT_REGISTRY))
+    return sorted(_SUMMARIES)
 
 
 def rule_summaries() -> Dict[str, str]:
     """code -> one-line summary for every registered rule (SARIF metadata)."""
-    out = {code: rule.summary for code, rule in _REGISTRY.items()}
-    for code, rule in _PROJECT_REGISTRY.items():
-        out.setdefault(code, rule.summary)
-    return dict(sorted(out.items()))
+    return dict(sorted(_SUMMARIES.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ general; this rule targets the accumulation pattern specifically in the
 numeric layers (``metrics``, ``power``, ``telemetry``), where the fix is
 different: ``sorted(...)`` pins the order, or ``math.fsum(...)`` makes
 the sum order-independent outright (it is exempt here for that reason).
+
+"Hash-ordered" is decided by the same set-valued classifier the
+determinism walker uses (:func:`repro.analysis.taint.is_set_valued`);
+only the typing of names differs — here a name is a set if any
+assignment in its scope makes it one (flow-insensitive), where the
+walker follows bindings in source order.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import ast
 from typing import TYPE_CHECKING, Iterable, List, Set
 
 from repro.analysis.registry import LintRule, register
+from repro.analysis.taint import is_set_valued
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.engine import ModuleContext
@@ -23,10 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Layers whose float sums feed reconciliation gates.
 NUMERIC_LAYERS = ("metrics", "power", "telemetry")
-
-_SET_METHODS = frozenset(
-    {"union", "intersection", "difference", "symmetric_difference", "copy"}
-)
 
 
 class _SetNames(ast.NodeVisitor):
@@ -37,7 +40,7 @@ class _SetNames(ast.NodeVisitor):
         self.names: Set[str] = set()
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        if _is_set_expr(node.value, self.names):
+        if is_set_valued(node.value, self.names):
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     self.names.add(target.id)
@@ -50,41 +53,17 @@ class _SetNames(ast.NodeVisitor):
     visit_ClassDef = visit_FunctionDef
 
 
-def _is_set_expr(node: ast.AST, set_names: Set[str]) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Name):
-        return node.id in set_names
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-    ):
-        return _is_set_expr(node.left, set_names) or _is_set_expr(
-            node.right, set_names
-        )
-    if isinstance(node, ast.Call):
-        fn = node.func
-        if isinstance(fn, ast.Name) and fn.id in ("set", "frozenset"):
-            return True
-        if (
-            isinstance(fn, ast.Attribute)
-            and fn.attr in _SET_METHODS
-            and _is_set_expr(fn.value, set_names)
-        ):
-            return True
-    return False
-
-
 def _sum_over_unordered(call: ast.Call, set_names: Set[str]) -> bool:
     if not (isinstance(call.func, ast.Name) and call.func.id == "sum"):
         return False
     if not call.args:
         return False
     arg = call.args[0]
-    if _is_set_expr(arg, set_names):
+    if is_set_valued(arg, set_names):
         return True
     if isinstance(arg, (ast.GeneratorExp, ast.ListComp)):
         return any(
-            _is_set_expr(gen.iter, set_names) for gen in arg.generators
+            is_set_valued(gen.iter, set_names) for gen in arg.generators
         )
     return False
 

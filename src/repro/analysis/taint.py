@@ -1,64 +1,83 @@
-"""Interprocedural taint engine + DET005.
+"""The determinism walker: DET001-004 at depth 0, DET005 across calls.
 
-DET001-004 are per-scope: they flag a wall-clock read, an entropy draw
-or a hash-ordered iteration *where it happens*. What they cannot see is
-flow — a helper that returns ``time.time()``, a function that forwards
-its argument into ``env.schedule(...)``, a set built three calls away
-and iterated here. This module closes that gap with a bounded
-whole-program taint analysis:
+One straight-line walk per scope (module, class body, function) is the
+only determinism pass over the source. What it sees, it sees twice over:
 
-* **Extraction** (:func:`extract_function_facts`): one straight-line
-  walk per function produces a JSON-serializable summary — which taint
-  kinds the function returns, which callees feed its return value,
-  which parameters flow to its return or into a scheduling sink, which
-  instance attributes it taints — plus every taint *sink* (scheduling
-  call arguments, kernel ``self.<attr>`` writes, iteration heads).
-* **Propagation** (:func:`propagate_returns`): a fixed-point over all
-  summaries resolves callee refs through the project symbol table
-  (re-exports included) and computes each function's returned taint
-  set, bounded by :data:`PROPAGATION_BOUND` passes so cyclic call
-  graphs terminate.
-* **DET005** (:class:`CrossFunctionTaintRule`): flags taint that
-  *reaches* a sink — a nondeterministic value entering ``schedule()``/
-  ``timeout()`` anywhere, kernel state in a kernel layer, or a
-  hash-ordered collection iterated after a call boundary.
+* **Depth 0** — where a hazard *happens*. A call whose resolved target
+  is a wall-clock, entropy or RNG source is a DET001/002/003 finding on
+  the spot (the clock shim and the RNG home are exempt for their own
+  code); an iteration or order-keeping consumption (``for``, a list/
+  generator/dict comprehension, ``list/tuple/iter/enumerate/reversed``,
+  ``str.join``, ``dict.fromkeys``) whose head is set-valued is DET004.
+  These are recorded with the file's facts, like any local finding.
+* **Depth >= 1** — what a hazard *flows into*. The same walk records a
+  JSON-serializable summary per function (which taint kinds it returns,
+  which callees feed its return value, which parameters flow to its
+  return or into a scheduling sink) and every taint sink: scheduling
+  call arguments, kernel ``self.<attr>`` writes, and the consumption
+  sites above when their order comes through a call instead. The
+  project pass (:func:`propagate_returns`, bounded by
+  :data:`PROPAGATION_BOUND`) resolves those refs across the call graph
+  and **DET005** (:class:`CrossFunctionTaintRule`) flags taint that
+  reaches a sink.
 
 Taint kinds: ``wall-clock`` (host time, including values produced by
 the sanctioned ``repro.harness.clock`` shim — legal to *read* in the
 harness, never legal to feed into kernel state), ``entropy``,
 ``unseeded-rng`` and ``set-order``. Scalar kinds survive arbitrary
 value transforms (``max(t, 0)`` of a wall-clock read is still
-wall-clock); ``set-order`` survives only order-preserving constructors
+wall-clock). ``set-order`` starts wherever :func:`is_set_valued` — the
+one classifier both depths use — says an expression is a set; it
+survives names and order-preserving constructors
 (``list``/``tuple``/``iter``/``reversed``/``enumerate``) and dies at
-``sorted(...)`` or an unknown call boundary — aggregation usually
-destroys ordering sensitivity, and assuming otherwise would drown the
-signal.
+``sorted(...)``, at a scalar aggregate (``len``/``max``/``sum``...) and
+at an unknown call boundary — aggregation usually destroys ordering
+sensitivity, and assuming otherwise would drown the signal.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Container,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.analysis.callgraph import attr_ref, local_ref
+from repro.analysis.findings import Finding
 from repro.analysis.registry import ProjectRule, register_project
 from repro.analysis.rules_det import (
+    EXEMPT,
     _ENTROPY,
     _NUMPY_RNG_CONSTRUCTORS,
     _WALL_CLOCK,
+    set_iteration_message,
+    source_message,
 )
 from repro.analysis.rules_layer import KERNEL_LAYERS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.callgraph import Project
     from repro.analysis.engine import ModuleContext
-    from repro.analysis.findings import Finding
 
 #: Taint kinds.
 WALL_CLOCK = "wall-clock"
 ENTROPY = "entropy"
 UNSEEDED_RNG = "unseeded-rng"
 SET_ORDER = "set-order"
+
+#: The depth-0 finding a source kind raises where it is read.
+_SOURCE_CODES = {
+    WALL_CLOCK: "DET001",
+    ENTROPY: "DET002",
+    UNSEEDED_RNG: "DET003",
+}
 
 #: Max fixed-point passes over the summary table — the effective
 #: call-depth bound for return-chain propagation.
@@ -71,13 +90,22 @@ _CLOCK_SHIM_FNS = frozenset(
     {"repro.harness.clock.perf_counter", "repro.harness.clock.utc_stamp"}
 )
 
-#: Builtins through which scalar taint flows unchanged.
+#: Builtins through which scalar taint flows unchanged (set order does
+#: not: each returns one value).
 _PASSTHROUGH = frozenset(
     {"max", "min", "abs", "round", "float", "int", "sum", "pow", "divmod", "len"}
 )
 #: Constructors that preserve the iteration order of their argument —
 #: ``list(a_set)`` is exactly as hash-ordered as the set was.
 _ORDER_KEEPERS = frozenset({"list", "tuple", "iter", "reversed", "enumerate"})
+#: Calls whose arguments cannot leak their iteration order.
+_ORDER_BLIND = frozenset({"sorted", "set", "frozenset"})
+
+#: Methods that return a new set when called on one.
+_SET_METHODS = frozenset(
+    {"union", "intersection", "difference", "symmetric_difference", "copy"}
+)
+_SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
 
 #: Methods whose call is a scheduling sink (and, for the first two, a
 #: scheduling-hazard site for the SCHED rules).
@@ -100,6 +128,47 @@ def source_kind(ref: Optional[str]) -> Optional[str]:
     ):
         return UNSEEDED_RNG
     return None
+
+
+def is_set_valued(node: ast.AST, set_names: Container[str]) -> bool:
+    """Does ``node`` evaluate to a set? The one set-valued classifier.
+
+    Set literals and comprehensions, ``set()``/``frozenset()``, ``| & -
+    ^`` with a set operand, ``union``/``intersection``/``difference``/
+    ``symmetric_difference``/``copy`` on a set, and names in
+    ``set_names`` — the caller decides how names get there (the walker
+    tracks bindings in source order, FLOAT001 types them per scope).
+    """
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Name):
+        return node.id in set_names
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, _SET_OPS) and (
+            is_set_valued(node.left, set_names)
+            or is_set_valued(node.right, set_names)
+        )
+    if isinstance(node, ast.Call):
+        fn = node.func
+        if isinstance(fn, ast.Name):
+            return fn.id in ("set", "frozenset")
+        return (
+            isinstance(fn, ast.Attribute)
+            and fn.attr in _SET_METHODS
+            and is_set_valued(fn.value, set_names)
+        )
+    return False
+
+
+def _order_settled(head: ast.AST) -> bool:
+    """``sorted(...)`` pins the order of a head; an order keeper
+    (``list(...)``...) is a consumption site of its own and already
+    recorded whatever its argument leaks."""
+    return (
+        isinstance(head, ast.Call)
+        and isinstance(head.func, ast.Name)
+        and (head.func.id == "sorted" or head.func.id in _ORDER_KEEPERS)
+    )
 
 
 class _Prov:
@@ -147,7 +216,8 @@ def _entry_args(arg_provs: Sequence[Tuple[int, "_Prov"]]) -> Dict[str, dict]:
 
 
 class _FunctionWalker:
-    """Straight-line taint walk over one function (or module) body."""
+    """Straight-line determinism walk over one scope's body: depth-0
+    findings plus the scope's taint summary, sinks and schedule sites."""
 
     def __init__(
         self,
@@ -169,15 +239,18 @@ class _FunctionWalker:
             prov = _Prov()
             prov.taints.add(f"@param:{idx}")
             self.env[name] = prov
+        #: names whose current value is set-valued
+        self.set_names: Set[str] = set()
         self.ret = _Prov()
         self.ret_entries: List[dict] = []
         self.sinks: List[dict] = []
         self.sched_sites: List[dict] = []
         self.calls: List[dict] = []
+        self.findings: List[Finding] = []
         self._loop_targets: List[Set[str]] = []
         #: >0 while collecting arguments of an order-destroying call
         #: (``sorted``/``set``/``frozenset``) — iteration in there can't
-        #: leak hash order, so no iter sink is recorded.
+        #: leak hash order, so nothing is recorded for it.
         self._order_blind = 0
 
     # -- call-target resolution --------------------------------------------
@@ -204,17 +277,15 @@ class _FunctionWalker:
     # -- expression provenance ---------------------------------------------
 
     def collect(self, node: Optional[ast.AST]) -> _Prov:
+        """Provenance of an expression; visits every sub-expression once."""
         prov = _Prov()
         if node is None:
             return prov
         if isinstance(node, ast.Name):
             known = self.env.get(node.id)
             if known is not None:
-                prov.taints |= known.taints
-                prov.refs |= known.refs
-                prov.entries.extend(known.entries)
-            return prov
-        if isinstance(node, ast.Attribute):
+                prov.merge(known)
+        elif isinstance(node, ast.Attribute):
             from repro.analysis.engine import dotted_parts
 
             parts = dotted_parts(node)
@@ -225,68 +296,77 @@ class _FunctionWalker:
                 and len(parts) == 2
             ):
                 prov.refs.add(attr_ref(self.mid, f"{self.classname}.{parts[1]}"))
-                return prov
-            return self.collect(node.value)
-        if isinstance(node, ast.Call):
-            return self._collect_call(node)
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            for child in ast.iter_child_nodes(node):
-                prov.merge(self.collect(child))
-            prov.taints.add(SET_ORDER)
-            return prov
-        if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
+            else:
+                prov = self.collect(node.value)
+        elif isinstance(node, ast.Call):
+            prov = self._collect_call(node)
+        elif isinstance(
+            node, (ast.ListComp, ast.GeneratorExp, ast.DictComp, ast.SetComp)
+        ):
             for gen in node.generators:
                 it = self.collect(gen.iter)
-                self._note_iteration(gen.iter, it)
+                if not isinstance(node, ast.SetComp):
+                    self._consume(
+                        node, [gen.iter], it, "in a comprehension", gen.iter
+                    )
                 prov.merge(it)
+                for cond in gen.ifs:
+                    self.collect(cond)
             for field in ("elt", "key", "value"):
                 sub = getattr(node, field, None)
                 if sub is not None:
                     prov.merge(self.collect(sub))
-            return prov
-        if isinstance(node, ast.comprehension):
-            return prov
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.expr, ast.keyword)):
-                target = child.value if isinstance(child, ast.keyword) else child
-                prov.merge(self.collect(target))
+        elif isinstance(node, ast.Lambda):
+            self._visit_part(node.args)
+            prov = self.collect(node.body)
+        else:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.keyword):
+                    child = child.value
+                if isinstance(child, ast.expr):
+                    prov.merge(self.collect(child))
+        if is_set_valued(node, self.set_names):
+            prov.taints.add(SET_ORDER)
         return prov
 
     def _collect_call(self, node: ast.Call) -> _Prov:
         prov = _Prov()
         fn = node.func
         args = list(node.args) + [kw.value for kw in node.keywords]
+        ref = self.resolve_callee(fn)
+        kind = source_kind(ref)
+        if kind is not None:
+            self._note_source(node, ref, kind)
         if isinstance(fn, ast.Name):
             name = fn.id
-            if name == "sorted":
+            if name in _ORDER_BLIND:
                 self._order_blind += 1
                 for arg in args:
                     prov.merge(self.collect(arg))
                 self._order_blind -= 1
+                # A sort pins the order; set()/frozenset() get a fresh
+                # one from the classifier in collect().
                 prov.taints.discard(SET_ORDER)
-                prov.entries = []  # order provenance dies at the sort
-                return prov
-            if name in ("set", "frozenset"):
-                self._order_blind += 1
-                for arg in args:
-                    prov.merge(self.collect(arg))
-                self._order_blind -= 1
-                prov.taints.add(SET_ORDER)
-                prov.entries = []
+                prov.entries = []  # order provenance dies here
                 return prov
             if name in _ORDER_KEEPERS:
                 for arg in args:
                     prov.merge(self.collect(arg))
+                self._consume(node, node.args, prov, f"via {name}()")
                 return prov
             if name in _PASSTHROUGH:
                 for arg in args:
                     prov.merge(self.collect(arg))
+                prov.taints.discard(SET_ORDER)
                 prov.entries = []
                 return prov
-        ref = self.resolve_callee(fn)
-        kind = source_kind(ref)
+        from repro.analysis.engine import dotted_parts
+
         arg_provs = [(idx, self.collect(arg)) for idx, arg in enumerate(args)]
-        for _idx, ap in arg_provs:
+        # ``make().method()``, ``a[k](x)``: the callee expression computes
+        # something itself, and its value flows on like an argument's.
+        callee = self.collect(fn) if dotted_parts(fn) is None else _Prov()
+        for _idx, ap in arg_provs + [(-1, callee)]:
             # Scalar taint flows through an unknown callee with its
             # argument; ordering taint does not (see module docstring).
             prov.taints |= ap.taints - {SET_ORDER}
@@ -302,10 +382,88 @@ class _FunctionWalker:
             }
             prov.entries.append(entry)
             self.calls.append(entry)
+        if isinstance(fn, ast.Attribute) and fn.attr == "join":
+            self._consume_args(node, len(node.args), arg_provs, "via str.join")
+        elif (
+            isinstance(fn, ast.Attribute)
+            and fn.attr == "fromkeys"
+            and isinstance(fn.value, ast.Name)
+            and fn.value.id == "dict"
+        ):
+            self._consume_args(
+                node, min(1, len(node.args)), arg_provs, "via dict.fromkeys"
+            )
         self._note_sinks(node, fn, arg_provs)
         return prov
 
-    # -- sinks & scheduling-hazard sites -------------------------------------
+    # -- findings, sinks & scheduling-hazard sites ---------------------------
+
+    def _finding(self, code: str, node: ast.AST, message: str) -> None:
+        self.findings.append(
+            Finding(
+                path=self.ctx.display_path,
+                line=node.lineno,
+                col=node.col_offset + 1,
+                code=code,
+                message=message,
+            )
+        )
+
+    def _note_source(self, node: ast.Call, ref: str, kind: str) -> None:
+        """DET001-003: a nondeterminism source read right here."""
+        code = _SOURCE_CODES[kind]
+        if ref in _CLOCK_SHIM_FNS or (code, self.ctx.module) in EXEMPT:
+            return
+        self._finding(code, node, source_message(code, ref))
+
+    def _consume_args(
+        self,
+        node: ast.Call,
+        n: int,
+        arg_provs: Sequence[Tuple[int, _Prov]],
+        how: str,
+    ) -> None:
+        """The first ``n`` positional arguments are consumed in order."""
+        prov = _Prov()
+        for _idx, ap in arg_provs[:n]:
+            prov.merge(ap)
+        self._consume(node, node.args[:n], prov, how)
+
+    def _consume(
+        self,
+        site: ast.AST,
+        heads: Sequence[ast.AST],
+        prov: _Prov,
+        how: str,
+        at: Optional[ast.AST] = None,
+    ) -> None:
+        """An iteration or order-keeping consumption of ``heads`` at
+        ``site``. A set-valued head leaks hash order right here (DET004);
+        a head whose order comes from a callee becomes an ``iter`` sink
+        (at ``at``, default ``site``) for DET005 to resolve."""
+        if self._order_blind:
+            return
+        if any(is_set_valued(h, self.set_names) for h in heads):
+            self._finding("DET004", site, set_iteration_message(how))
+            return
+        if (
+            not prov.refs
+            or SET_ORDER in prov.taints
+            or any(_order_settled(h) for h in heads)
+        ):
+            return
+        at = at or site
+        self.sinks.append(
+            {
+                "kind": "iter",
+                "line": at.lineno,
+                "col": at.col_offset + 1,
+                "func": self.qualname,
+                "taints": [],
+                "refs": sorted(prov.refs),
+                "params": [],
+            }
+        )
 
     def _note_sinks(
         self,
@@ -381,51 +539,21 @@ class _FunctionWalker:
             "loop_invariant": not (target_names & loop_vars),
         }
 
-    def _note_iteration(self, node: ast.AST, prov: _Prov) -> None:
-        """Record an iteration head whose ordering depends on a call
-        result — the cross-function half of DET004 (the local half flags
-        direct set expressions itself)."""
-        if self._order_blind:
-            return
-        # Unwrap order-preserving constructors; a head that bottoms out
-        # in sorted(...) iterates in a pinned order no matter what the
-        # callees underneath return.
-        head = node
-        while (
-            isinstance(head, ast.Call)
-            and isinstance(head.func, ast.Name)
-            and head.func.id in _ORDER_KEEPERS
-            and head.args
-        ):
-            head = head.args[0]
-        if (
-            isinstance(head, ast.Call)
-            and isinstance(head.func, ast.Name)
-            and head.func.id == "sorted"
-        ):
-            return
-        if prov.refs and SET_ORDER not in prov.taints:
-            self.sinks.append(
-                {
-                    "kind": "iter",
-                    "line": node.lineno,
-                    "col": node.col_offset + 1,
-                    "func": self.qualname,
-                    "taints": [],
-                    "refs": sorted(prov.refs),
-                    "params": [],
-                }
-            )
-
     # -- statement walk -------------------------------------------------------
 
     def walk(self, body: Sequence[ast.stmt]) -> None:
         for stmt in body:
             self.visit(stmt)
 
-    def _bind(self, target: ast.AST, prov: _Prov) -> None:
+    def _bind(
+        self, target: ast.AST, prov: _Prov, set_valued: bool = False
+    ) -> None:
         if isinstance(target, ast.Name):
             self.env[target.id] = prov
+            if set_valued:
+                self.set_names.add(target.id)
+            else:
+                self.set_names.discard(target.id)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
                 self._bind(elt, prov)
@@ -433,13 +561,14 @@ class _FunctionWalker:
             from repro.analysis.engine import dotted_parts
 
             parts = dotted_parts(target)
-            if (
+            if not (
                 parts
                 and parts[0] == "self"
                 and self.classname
                 and len(parts) == 2
-                and prov.interesting
             ):
+                self.collect(target.value)
+            elif prov.interesting:
                 self.sinks.append(
                     {
                         "kind": "attr_write",
@@ -452,22 +581,35 @@ class _FunctionWalker:
                         "params": prov.param_indices(),
                     }
                 )
+        else:  # subscripts, starred: visit the expressions inside
+            self.collect(target)
 
     def visit(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Assign):
             prov = self.collect(stmt.value)
+            set_valued = is_set_valued(stmt.value, self.set_names)
             for target in stmt.targets:
-                self._bind(target, prov)
+                self._bind(target, prov, set_valued)
         elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                self._bind(stmt.target, self.collect(stmt.value))
+            self.collect(stmt.annotation)
+            if stmt.value is None:
+                self.collect(stmt.target)
+            else:
+                value = stmt.value
+                self._bind(
+                    stmt.target,
+                    self.collect(value),
+                    is_set_valued(value, self.set_names),
+                )
         elif isinstance(stmt, ast.AugAssign):
             prov = self.collect(stmt.value)
+            set_valued = False
             if isinstance(stmt.target, ast.Name):
                 existing = self.env.get(stmt.target.id)
                 if existing is not None:
                     prov.merge(existing)
-            self._bind(stmt.target, prov)
+                set_valued = stmt.target.id in self.set_names
+            self._bind(stmt.target, prov, set_valued)
         elif isinstance(stmt, (ast.Return, ast.Expr)):
             prov = self.collect(stmt.value)
             if isinstance(stmt, ast.Return):
@@ -475,7 +617,7 @@ class _FunctionWalker:
                 self.ret_entries.extend(prov.entries)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             it = self.collect(stmt.iter)
-            self._note_iteration(stmt.iter, it)
+            self._consume(stmt, [stmt.iter], it, "in a for loop", stmt.iter)
             names = {
                 n.id
                 for n in ast.walk(stmt.target)
@@ -495,25 +637,30 @@ class _FunctionWalker:
             self.walk(stmt.body)
             self._loop_targets.pop()
             self.walk(stmt.orelse)
-        elif isinstance(stmt, ast.If):
-            self.collect(stmt.test)
-            self.walk(stmt.body)
-            self.walk(stmt.orelse)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self.collect(item.context_expr)
-            self.walk(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self.walk(stmt.body)
-            for handler in stmt.handlers:
-                self.walk(handler.body)
-            self.walk(stmt.orelse)
-            self.walk(stmt.finalbody)
-        elif isinstance(stmt, (ast.Raise, ast.Assert, ast.Delete)):
-            for sub in ast.iter_child_nodes(stmt):
-                if isinstance(sub, ast.expr):
-                    self.collect(sub)
-        # Nested defs/classes are walked as their own scopes.
+        elif isinstance(
+            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            # The body is a scope of its own; decorators, defaults,
+            # annotations and base classes are evaluated here.
+            for child in ast.iter_child_nodes(stmt):
+                if not isinstance(child, ast.stmt):
+                    self._visit_part(child)
+        else:
+            # if/with/try/match/raise/assert/del/...: every expression
+            # and nested statement, in field order.
+            for child in ast.iter_child_nodes(stmt):
+                self._visit_part(child)
+
+    def _visit_part(self, node: ast.AST) -> None:
+        """A statement part: a statement, an expression, or a container
+        of them (arguments, except handlers, with items, match cases)."""
+        if isinstance(node, ast.stmt):
+            self.visit(node)
+        elif isinstance(node, ast.expr):
+            self.collect(node)
+        else:
+            for child in ast.iter_child_nodes(node):
+                self._visit_part(child)
 
 
 def _is_absolute_delay(node: ast.AST) -> bool:
@@ -544,11 +691,13 @@ def _params_of(node: ast.AST, is_method: bool) -> List[str]:
 
 def extract_function_facts(
     ctx: "ModuleContext", mid: str
-) -> Tuple[Dict[str, dict], List[dict], List[dict], List[dict]]:
-    """(functions, sched_sites, sinks, calls) for one module.
+) -> Tuple[Dict[str, dict], List[dict], List[dict], List[dict], List[Finding]]:
+    """(functions, sched_sites, sinks, calls, findings) for one module.
 
-    Walks module top-level plus every function/method (one class level
-    deep, matching the symbol table) with a fresh straight-line walker.
+    Walks the module top level, every class body and every function with
+    a fresh straight-line walker each; the symbol table's functions
+    (module level plus one class level deep) also get a summary.
+    ``findings`` are the depth-0 DET001-004 findings.
     """
     from repro.analysis.callgraph import _collect_defs
 
@@ -557,36 +706,39 @@ def extract_function_facts(
     sched_sites: List[dict] = []
     sinks: List[dict] = []
     calls: List[dict] = []
+    findings: List[Finding] = []
 
-    scopes: List[Tuple[str, Optional[str], Sequence[str], Sequence[ast.stmt]]] = [
-        ("<module>", None, (), ctx.tree.body)
-    ]
+    # (qualname, classname, params, body, symbol-table node or None)
+    scopes: List[tuple] = [("<module>", None, (), ctx.tree.body, None)]
     for qualname, node in defs.items():
         classname = qualname.split(".")[0] if "." in qualname else None
-        scopes.append(
-            (qualname, classname, _params_of(node, classname is not None), node.body)
-        )
-    # Functions nested deeper than the symbol table resolves still get
-    # walked (their sinks/hazard sites matter) under their own name.
+        params = _params_of(node, classname is not None)
+        scopes.append((qualname, classname, params, node.body, node))
+    # Class bodies and functions nested deeper than the symbol table
+    # resolves still get walked (their findings, sinks and hazard sites
+    # matter) under their own name.
     table_nodes = set(map(id, defs.values()))
     for node in ast.walk(ctx.tree):
-        if (
+        if isinstance(node, ast.ClassDef):
+            scopes.append((node.name, None, (), node.body, None))
+        elif (
             isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and id(node) not in table_nodes
         ):
-            scopes.append((node.name, None, _params_of(node, False), node.body))
+            params = _params_of(node, False)
+            scopes.append((node.name, None, params, node.body, None))
 
-    for qualname, classname, params, body in scopes:
+    for qualname, classname, params, body, node in scopes:
         walker = _FunctionWalker(ctx, mid, qualname, classname, params, defs)
         walker.walk(body)
         sched_sites.extend(walker.sched_sites)
         sinks.extend(walker.sinks)
+        findings.extend(walker.findings)
         for entry in walker.calls:
             if entry["args"]:  # only calls that carry provenance matter
                 calls.append(entry)
-        if qualname != "<module>" and qualname in defs:
-            node = defs[qualname]
-            summary = {
+        if node is not None:
+            functions[qualname] = {
                 "line": node.lineno,
                 "ret_taints": walker.ret.public_taints(),
                 "ret_refs": sorted(walker.ret.refs),
@@ -603,8 +755,7 @@ def extract_function_facts(
                     for idx in sink["params"]
                 ],
             }
-            functions[qualname] = summary
-    return functions, sched_sites, sinks, calls
+    return functions, sched_sites, sinks, calls, findings
 
 
 # ---------------------------------------------------------------------------

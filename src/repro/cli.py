@@ -322,26 +322,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
     layer boundaries (LAYER, transitive), float-order (FLOAT), kernel
     purity (PURE) and trace-name registration (TRACE).
     Exit 0 = clean, 1 = unsuppressed findings, 2 = unreadable input."""
-    from repro.analysis.engine import main as lint_main
+    from repro.analysis.engine import run
 
-    argv = list(args.paths) + ["--format", args.format]
-    if args.write_names:
-        argv.append("--write-names")
-    if args.names_out is not None:
-        argv += ["--names-out", str(args.names_out)]
-    if args.metric_names_out is not None:
-        argv += ["--metric-names-out", str(args.metric_names_out)]
-    if args.diff is not None:
-        argv += ["--diff", args.diff]
-    if args.baseline is not None:
-        argv += ["--baseline", str(args.baseline)]
-    if args.write_baseline is not None:
-        argv += ["--write-baseline", str(args.write_baseline)]
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.cache_dir is not None:
-        argv += ["--cache-dir", str(args.cache_dir)]
-    return lint_main(argv)
+    return run(args)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -1619,75 +1602,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_metrics_bless)
 
+    from repro.analysis.engine import add_arguments as add_lint_arguments
+
     p = sub.add_parser(
         "lint",
         help="static determinism/purity/layering analysis (DET/SCHED/"
         "FLOAT/LAYER/PURE/TRACE/METRIC rules, whole-program taint)",
     )
-    p.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    p.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (default: text)",
-    )
-    p.add_argument(
-        "--diff",
-        metavar="REF",
-        default=None,
-        help="only report findings in files changed since REF plus "
-        "their reverse-dependency cone",
-    )
-    p.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="subtract grandfathered findings from this JSON baseline "
-        "(kernel entries rejected)",
-    )
-    p.add_argument(
-        "--write-baseline",
-        type=Path,
-        metavar="PATH",
-        default=None,
-        help="write the current finding set as the new baseline and exit",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental facts cache",
-    )
-    p.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="override the cache location (default: results/.lintcache)",
-    )
-    p.add_argument(
-        "--write-names",
-        action="store_true",
-        help="regenerate trace/names.py (tracer call sites) and "
-        "telemetry/names.py (instrument call sites), then exit",
-    )
-    p.add_argument(
-        "--names-out",
-        type=Path,
-        default=None,
-        help="override the generated trace names.py location "
-        "(with --write-names; given alone, only the trace table is written)",
-    )
-    p.add_argument(
-        "--metric-names-out",
-        type=Path,
-        default=None,
-        help="override the generated telemetry names.py location "
-        "(with --write-names; given alone, only the metric table is written)",
-    )
+    add_lint_arguments(p)
     p.set_defaults(func=cmd_lint)
 
     return parser

@@ -225,3 +225,97 @@ def test_clean_cross_module_flow_stays_clean(lint_tree):
         }
     )
     assert codes(findings) == []
+
+
+def test_set_method_result_keeps_set_order_across_call(lint_tree):
+    """``s.union(b)`` is a set, exactly like ``s | b``: a caller iterating
+    the returned value sees hash order."""
+    findings = lint_tree(
+        {
+            "core/maker.py": (
+                "def merged(a, b):\n"
+                "    s = set(a)\n"
+                "    return s.union(b)\n"
+            ),
+            "core/user.py": (
+                "from repro.core.maker import merged\n"
+                "\n"
+                "\n"
+                "def drain(a, b):\n"
+                "    for x in merged(a, b):\n"
+                "        print(x)\n"
+            ),
+        }
+    )
+    assert [(f.code, f.path.split("repro/")[-1], f.line, f.col) for f in findings] == [
+        ("DET005", "core/user.py", 5, 14)
+    ]
+
+
+def test_scalar_aggregate_of_a_set_is_not_hash_ordered(lint_tree):
+    """``max(s)`` is one value; a list holding it has no set order."""
+    findings = lint_tree(
+        {
+            "core/maker.py": (
+                "def biggest(a):\n"
+                "    s = set(a)\n"
+                "    return [max(s)]\n"
+            ),
+            "core/user.py": (
+                "from repro.core.maker import biggest\n"
+                "\n"
+                "\n"
+                "def drain(a):\n"
+                "    for y in biggest(a):\n"
+                "        print(y)\n"
+            ),
+        }
+    )
+    assert findings == []
+
+
+def test_comprehension_if_clause_sinks_are_seen(lint_tree):
+    """A scheduling call inside a comprehension ``if`` is still a sink."""
+    findings = lint_tree(
+        {
+            "core/user.py": (
+                "import time\n"
+                "\n"
+                "\n"
+                "def kick(env, ev, xs):\n"
+                "    return [x for x in xs if env.schedule(ev, delay=time.time())]\n"
+            ),
+        }
+    )
+    assert [(f.code, f.line, f.col) for f in findings] == [
+        ("DET005", 5, 30),
+        ("DET001", 5, 53),
+    ]
+
+
+def test_order_keeping_consumers_are_iteration_sinks(lint_tree):
+    """``str.join``/``list()`` over a callee's set are the same sink as a
+    loop over it; a loop over ``list(...)`` is reported once, at the
+    ``list`` call."""
+    findings = lint_tree(
+        {
+            "core/maker.py": (
+                "def live_ids(consumers):\n"
+                "    return {c.cid for c in consumers}"
+                "  # repro: allow[DET004] -- construction only\n"
+            ),
+            "core/user.py": (
+                "from repro.core.maker import live_ids\n"
+                "\n"
+                "\n"
+                "def drain(consumers):\n"
+                "    label = ','.join(live_ids(consumers))\n"
+                "    for cid in list(live_ids(consumers)):\n"
+                "        print(label, cid)\n"
+            ),
+        }
+    )
+    assert [(f.code, f.line, f.col) for f in findings] == [
+        ("DET005", 5, 13),
+        ("DET005", 6, 16),
+    ]

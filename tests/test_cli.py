@@ -405,3 +405,45 @@ def test_chaos_scenario_filter(capsys):
 def test_chaos_rejects_unknown_scenario_name(capsys):
     assert main(["chaos", "--scenarios", "no-such-fault"]) == 2
     assert "unknown scenario" in capsys.readouterr().err
+
+
+def test_lint_subcommand_matches_module_entry_point(capsys, tmp_path):
+    """``repro lint`` and ``python -m repro.analysis`` share one option
+    table and produce the same report."""
+    import argparse
+
+    from repro.analysis import engine
+    from repro.cli import build_parser
+
+    def options(parser):
+        return [
+            (a.option_strings, a.dest, a.default, a.help)
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+
+    module_parser = argparse.ArgumentParser()
+    engine.add_arguments(module_parser)
+    subcommands = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    assert options(subcommands.choices["lint"]) == options(module_parser)
+
+    src = tmp_path / "repro" / "core" / "bad.py"
+    src.parent.mkdir(parents=True)
+    src.write_text(
+        "import time\n"
+        "t = time.time()\n"
+        "for x in {1, 2}:  # repro: allow[DET004]\n"
+        "    pass\n"
+        "y = 1  # repro: allow[DET001]\n",
+        encoding="utf-8",
+    )
+    argv = [str(tmp_path), "--no-cache", "--format", "json"]
+    assert main(["lint", *argv]) == 1
+    via_cli = capsys.readouterr().out
+    assert engine.main(argv) == 1
+    via_module = capsys.readouterr().out
+    assert via_cli == via_module
+    assert '"code": "DET001"' in via_cli and '"unused_suppressions": [' in via_cli
