@@ -11,21 +11,13 @@ overflows into shared drains (a latched consumer drains *earlier* than
 its fill horizon, so bursts land in emptier buffers).
 """
 
-from repro.harness import render_table, run_multi
+from repro.harness import CellSpec, render_table, run_cells
 from repro.metrics import summarise
 
 
 def run_variant(params, enable_latching):
-    runs = [
-        run_multi(
-            "PBPL",
-            5,
-            params,
-            rep,
-            pbpl_overrides={"enable_latching": enable_latching},
-        )
-        for rep in range(params.replicates)
-    ]
+    spec = CellSpec.make("PBPL", pbpl_overrides={"enable_latching": enable_latching})
+    (runs,) = run_cells(params, [spec])
     return summarise(runs)
 
 

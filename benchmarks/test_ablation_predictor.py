@@ -8,17 +8,15 @@ PBPL's slot grid and the resize margin absorb most prediction error —
 with differences showing up in overflow wakeups.
 """
 
-from repro.harness import render_table, run_multi
+from repro.harness import CellSpec, render_table, run_cells
 from repro.metrics import summarise
 
 PREDICTORS = ("moving-average", "ewma", "kalman")
 
 
 def run_variant(params, predictor):
-    runs = [
-        run_multi("PBPL", 5, params, rep, pbpl_overrides={"predictor": predictor})
-        for rep in range(params.replicates)
-    ]
+    spec = CellSpec.make("PBPL", pbpl_overrides={"predictor": predictor})
+    (runs,) = run_cells(params, [spec])
     return summarise(runs)
 
 

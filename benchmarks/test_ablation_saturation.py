@@ -14,7 +14,7 @@ increasingly already awake when the next item lands.
 
 from dataclasses import dataclass
 
-from repro.harness import StandardParams, render_table, run_multi
+from repro.harness import CellSpec, StandardParams, render_table, run_cells
 from repro.metrics import summarise
 
 
@@ -41,12 +41,9 @@ def test_ablation_saturation(benchmark, bench_params, save_result):
     )
 
     def grid():
-        return {
-            n: summarise(
-                [run_multi("Mutex", n, params, rep) for rep in range(params.replicates)]
-            )
-            for n in (2, 5, 10)
-        }
+        counts = (2, 5, 10)
+        cells = run_cells(params, [CellSpec("Mutex", n) for n in counts])
+        return {n: summarise(runs) for n, runs in zip(counts, cells)}
 
     results = benchmark.pedantic(grid, rounds=1, iterations=1)
     rows = [

@@ -13,23 +13,15 @@ a decrease in the number of wakeups." This bench shows what
 * the calibrated default sits near the knee.
 """
 
-from repro.harness import render_table, run_multi
+from repro.harness import CellSpec, render_table, run_cells
 from repro.metrics import summarise
 
 SLOTS_MS = (1.0, 2.5, 5.0, 10.0, 20.0)
 
 
 def run_variant(params, slot_ms):
-    runs = [
-        run_multi(
-            "PBPL",
-            5,
-            params,
-            rep,
-            pbpl_overrides={"slot_size_s": slot_ms * 1e-3},
-        )
-        for rep in range(params.replicates)
-    ]
+    spec = CellSpec.make("PBPL", pbpl_overrides={"slot_size_s": slot_ms * 1e-3})
+    (runs,) = run_cells(params, [spec])
     return summarise(runs)
 
 

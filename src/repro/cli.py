@@ -53,9 +53,9 @@ from repro.harness import (
     run_pipeline_study,
     run_profile_study,
     run_sanity_checks,
-    run_single_pair,
     run_wakeup_accounting,
     runs_to_csv,
+    sanity_runs,
 )
 from repro.sim.rng import RandomStreams
 from repro.workloads import (
@@ -217,17 +217,13 @@ def cmd_accounting(args: argparse.Namespace) -> int:
     result = run_wakeup_accounting(
         _params(args), buffer_size=args.buffer, jobs=args.jobs
     )
-    _emit(args, result.render())
+    _emit(args, result.render(), result.runs)
     return 0
 
 
 def cmd_sanity(args: argparse.Namespace) -> int:
     params = _params(args)
-    runs = [
-        run_single_pair(name, params, rep)
-        for name in ("Mutex", "BP", "SPBP")
-        for rep in range(params.replicates)
-    ]
+    runs = sanity_runs(params)
     report = run_sanity_checks(runs, params)
     _emit(args, report.to_json() if args.json else report.render(), runs)
     if not report.all_passed:
@@ -420,7 +416,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     text = result.render() + (
         f"\n\nsuggested Δ = {result.best_slot_size_s * 1000:g} ms"
     )
-    _emit(args, text)
+    _emit(args, text, result.runs)
     return 0
 
 

@@ -1,7 +1,7 @@
 """Experiment harness: parameters, rig assembly, per-figure runners."""
 
 from repro.harness.background import BackgroundKernelLoad
-from repro.harness.grid import CellSpec, ExperimentGrid
+from repro.harness.grid import CellSpec, run_cells
 from repro.harness.export import (
     runs_from_csv,
     runs_from_json,
@@ -13,6 +13,7 @@ from repro.harness.sanity import (
     SanityReport,
     dual_spin_ceiling_w,
     run_sanity_checks,
+    sanity_runs,
 )
 from repro.harness.experiments import (
     BufferSweepResult,
@@ -46,7 +47,6 @@ from repro.harness.runner import (
     Rig,
     baseline_power_w,
     run_multi,
-    run_single_pair,
 )
 from repro.harness.tables import render_comparison, render_series, render_table
 from repro.harness.tuning import ProbePoint, TuningResult, suggest_slot_size
@@ -56,7 +56,6 @@ __all__ = [
     "BufferSweepResult",
     "CellSpec",
     "ConsumerScalingResult",
-    "ExperimentGrid",
     "FullReport",
     "MULTI_IMPLEMENTATIONS",
     "MultiComparisonResult",
@@ -83,18 +82,19 @@ __all__ = [
     "runs_from_json",
     "runs_to_csv",
     "runs_to_json",
+    "sanity_runs",
     "render_comparison",
     "render_series",
     "resolve_jobs",
     "render_table",
     "run_buffer_sweep",
+    "run_cells",
     "run_consumer_scaling",
     "run_multi",
     "run_multi_comparison",
     "run_pipeline",
     "run_pipeline_study",
     "run_profile_study",
-    "run_single_pair",
     "run_wakeup_accounting",
     "suggest_slot_size",
 ]

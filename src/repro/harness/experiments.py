@@ -1,5 +1,7 @@
 """One function per paper figure/table: run, summarise, render.
 
+Each function is a view over :func:`~repro.harness.grid.run_cells`: it
+names the cells its figure shows and asks for all of them in one call.
 Every function returns a result object holding the raw per-replicate
 :class:`~repro.metrics.run.RunMetrics`, replicate summaries, and a
 ``render()`` producing the text analogue of the paper's figure, plus
@@ -12,14 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.parallel import ParallelExecutor
+from repro.harness.grid import CellSpec, run_cells
 from repro.harness.params import StandardParams
-from repro.harness.runner import (
-    MULTI_IMPLEMENTATIONS,
-    STUDY_IMPLEMENTATIONS,
-    run_multi,
-    run_single_pair,
-)
+from repro.harness.runner import MULTI_IMPLEMENTATIONS, STUDY_IMPLEMENTATIONS
 from repro.harness.tables import render_table
 from repro.metrics.run import RunMetrics, Summary, summarise
 from repro.metrics.stats import (
@@ -28,31 +25,6 @@ from repro.metrics.stats import (
     percent_change,
     wakeup_power_significance,
 )
-
-
-def _cells(
-    runs: Sequence[RunMetrics],
-) -> Dict[Tuple[str, int, int], List[RunMetrics]]:
-    cells: Dict[Tuple[str, int, int], List[RunMetrics]] = {}
-    for run in runs:
-        key = (run.implementation, run.n_consumers, run.buffer_size)
-        cells.setdefault(key, []).append(run)
-    return cells
-
-
-# Module-level task wrappers: picklable by reference, so the same entry
-# points run serially (jobs=1) or across a process pool (jobs=N) with
-# byte-identical, order-preserved results.
-
-
-def _single_pair_task(task) -> RunMetrics:
-    name, params, replicate = task
-    return run_single_pair(name, params, replicate)
-
-
-def _multi_task(task) -> RunMetrics:
-    name, n_consumers, params, replicate, buffer_size = task
-    return run_multi(name, n_consumers, params, replicate, buffer_size=buffer_size)
 
 
 # ---------------------------------------------------------------------------
@@ -124,21 +96,11 @@ def run_profile_study(
 ) -> ProfileStudyResult:
     """Reproduce Figures 3 and 4 (and the §III-C statistics)."""
     params = params or StandardParams()
-    runs = ParallelExecutor(jobs).map(
-        _single_pair_task,
-        [
-            (name, params, replicate)
-            for name in STUDY_IMPLEMENTATIONS
-            for replicate in range(params.replicates)
-        ],
-        labels=[
-            f"{name} r{replicate}"
-            for name in STUDY_IMPLEMENTATIONS
-            for replicate in range(params.replicates)
-        ],
-    )
+    specs = [CellSpec(name, n_consumers=1) for name in STUDY_IMPLEMENTATIONS]
+    cells = run_cells(params, specs, jobs)
+    runs = [run for cell in cells for run in cell]
     summaries = {
-        key[0]: summarise(cell) for key, cell in _cells(runs).items()
+        name: summarise(cell) for name, cell in zip(STUDY_IMPLEMENTATIONS, cells)
     }
     blocking = ("Mutex", "Sem", "BP", "PBP", "SPBP")
     all_w = [summaries[n].mean("wakeups_per_s") for n in STUDY_IMPLEMENTATIONS]
@@ -232,29 +194,41 @@ def run_multi_comparison(
 ) -> MultiComparisonResult:
     """Reproduce Figure 9 (or one cell of Figures 10/11)."""
     params = params or StandardParams()
-    buf = buffer_size or params.buffer_size
-    runs = ParallelExecutor(jobs).map(
-        _multi_task,
-        [
-            (name, n_consumers, params, replicate, buf)
-            for name in implementations
-            for replicate in range(params.replicates)
-        ],
-        labels=[
-            f"{name} x{n_consumers} r{replicate}"
-            for name in implementations
-            for replicate in range(params.replicates)
-        ],
-    )
-    summaries = {key[0]: summarise(cell) for key, cell in _cells(runs).items()}
-    return MultiComparisonResult(
-        params=params,
-        n_consumers=n_consumers,
-        buffer_size=buf,
-        runs=runs,
-        summaries=summaries,
-        implementations=tuple(implementations),
-    )
+    columns = [(n_consumers, buffer_size or params.buffer_size)]
+    return _comparisons(params, columns, implementations, jobs)[0]
+
+
+def _comparisons(
+    params: StandardParams,
+    columns: Sequence[Tuple[int, int]],
+    implementations: Sequence[str],
+    jobs: Optional[int],
+) -> List[MultiComparisonResult]:
+    """One comparison per ``(n_consumers, buffer_size)`` column, every
+    column's cells fetched in one :func:`run_cells` call."""
+    specs = [
+        CellSpec(name, n_consumers, buf)
+        for n_consumers, buf in columns
+        for name in implementations
+    ]
+    cells = iter(run_cells(params, specs, jobs))
+    results = []
+    for n_consumers, buf in columns:
+        group = [next(cells) for _ in implementations]
+        results.append(
+            MultiComparisonResult(
+                params=params,
+                n_consumers=n_consumers,
+                buffer_size=buf,
+                runs=[run for cell in group for run in cell],
+                summaries={
+                    name: summarise(cell)
+                    for name, cell in zip(implementations, group)
+                },
+                implementations=tuple(implementations),
+            )
+        )
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +291,11 @@ def run_consumer_scaling(
 ) -> ConsumerScalingResult:
     """Reproduce Figure 10."""
     params = params or StandardParams()
-    result = ConsumerScalingResult(params=params, counts=tuple(counts))
-    for n in counts:
-        result.cells[n] = run_multi_comparison(params, n_consumers=n, jobs=jobs)
-    return result
+    columns = [(n, params.buffer_size) for n in counts]
+    cells = _comparisons(params, columns, MULTI_IMPLEMENTATIONS, jobs)
+    return ConsumerScalingResult(
+        params=params, counts=tuple(counts), cells=dict(zip(counts, cells))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +351,14 @@ def run_buffer_sweep(
 ) -> BufferSweepResult:
     """Reproduce Figure 11."""
     params = params or StandardParams()
-    result = BufferSweepResult(
-        params=params, sizes=tuple(sizes), n_consumers=n_consumers
+    columns = [(n_consumers, size) for size in sizes]
+    cells = _comparisons(params, columns, ("BP", "PBPL"), jobs)
+    return BufferSweepResult(
+        params=params,
+        sizes=tuple(sizes),
+        n_consumers=n_consumers,
+        cells=dict(zip(sizes, cells)),
     )
-    for size in sizes:
-        result.cells[size] = run_multi_comparison(
-            params,
-            n_consumers=n_consumers,
-            buffer_size=size,
-            implementations=("BP", "PBPL"),
-            jobs=jobs,
-        )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +373,8 @@ class WakeupAccountingResult:
     n_consumers: int
     pbpl: Summary
     bp: Summary
+    #: PBPL's replicates, then BP's.
+    runs: List[RunMetrics] = field(default_factory=list)
 
     @property
     def pbpl_total_wakeups(self) -> float:
@@ -467,19 +440,19 @@ def run_wakeup_accounting(
 ) -> WakeupAccountingResult:
     """Reproduce the §VI-C in-text scheduled/overflow wakeup numbers."""
     params = params or StandardParams()
-    reps = range(params.replicates)
-    runs = ParallelExecutor(jobs).map(
-        _multi_task,
-        [("PBPL", n_consumers, params, rep, buffer_size) for rep in reps]
-        + [("BP", n_consumers, params, rep, buffer_size) for rep in reps],
-        labels=[f"PBPL r{rep}" for rep in reps] + [f"BP r{rep}" for rep in reps],
+    pbpl, bp = run_cells(
+        params,
+        [
+            CellSpec("PBPL", n_consumers, buffer_size),
+            CellSpec("BP", n_consumers, buffer_size),
+        ],
+        jobs,
     )
-    runs_pbpl = runs[: params.replicates]
-    runs_bp = runs[params.replicates :]
     return WakeupAccountingResult(
         params=params,
         buffer_size=buffer_size,
         n_consumers=n_consumers,
-        pbpl=summarise(runs_pbpl),
-        bp=summarise(runs_bp),
+        pbpl=summarise(pbpl),
+        bp=summarise(bp),
+        runs=pbpl + bp,
     )

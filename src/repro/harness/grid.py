@@ -1,35 +1,34 @@
-"""Cached experiment grids: sweep cells once, reuse forever.
+"""The one cell graph: every figure is a view over memoized cells.
 
-Large sweeps (many implementations × consumer counts × buffer sizes ×
-replicates) dominate the cost of iterating on analysis code. Every cell
-of a grid is deterministic given its parameters, so results are safely
-cacheable: a cell's runs serialise to JSON keyed by a digest of the
-full parameter set, and re-running the grid after editing only the
-analysis is free.
+A cell is one implementation in one configuration (:class:`CellSpec`)
+under one parameter set; its value is the list of per-replicate
+:class:`~repro.metrics.run.RunMetrics`. :func:`run_cells` is the only
+way the harness runs cells. Figures 9, 10 and 11, the §VI-C accounting,
+the §III study, the sanity checks, the slot-size tuner and the
+ablations all ask it for the cells they show, so a cell shared by
+several views (Fig. 9's cells are Fig. 10's 5-consumer column) is
+simulated once per process.
+
+Every run is a pure function of what it reads, so the memo key is
+exactly that: the params type and fields, the implementation, the
+consumer count, the *resolved* config and the replicate. A
+default-valued PBPL override therefore hits the default cell, and a
+params subclass that changes its configs never hits a base-class cell.
+The memo lives in-process only; nothing is read back from disk.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import logging
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import astuple, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro._version import __version__
-from repro.harness.export import runs_from_json, runs_to_json
 from repro.harness.parallel import ParallelExecutor
 from repro.harness.params import StandardParams
 from repro.harness.runner import run_multi
-from repro.metrics.run import RunMetrics, Summary, summarise
+from repro.metrics.run import RunMetrics
 
-logger = logging.getLogger(__name__)
-
-#: Revision of the cached cell-result payload. Bump when the meaning or
-#: shape of a serialised :class:`RunMetrics` changes so stale caches
-#: invalidate instead of deserialising into nonsense.
-CELL_SCHEMA_VERSION = 2
+#: Replicate results by memo key (see :func:`_key`).
+_CELL_MEMO: Dict[Tuple, RunMetrics] = {}
 
 
 @dataclass(frozen=True)
@@ -55,141 +54,50 @@ class CellSpec:
         return dict(self.pbpl_overrides)
 
 
-class ExperimentGrid:
-    """Runs cells against one parameter set, caching results on disk.
+def _key(params: StandardParams, spec: CellSpec, replicate: int) -> Tuple:
+    """Everything one replicate of ``spec`` reads, as a hashable tuple."""
+    buf = spec.buffer_size or params.buffer_size
+    if spec.implementation == "PBPL":
+        config = params.pbpl_config(buf, **spec.overrides_dict())
+    else:
+        config = params.pc_config(buf)
+    return (
+        type(params),
+        astuple(params),
+        spec.implementation,
+        spec.n_consumers,
+        astuple(config),
+        replicate,
+    )
 
-    Parameters
-    ----------
-    params:
-        The shared :class:`StandardParams` (its fields are part of every
-        cache key — changing the duration or seed invalidates cleanly).
-    cache_dir:
-        Where to keep per-cell JSON results; None disables caching.
+
+def run_cells(
+    params: StandardParams,
+    specs: Sequence[CellSpec],
+    jobs: Optional[int] = None,
+) -> List[List[RunMetrics]]:
+    """Every spec's replicates, in spec order.
+
+    Memo misses across *all* specs are flattened into one
+    ``(spec, replicate)`` task list, so a multi-job executor keeps every
+    worker busy even when cells are few and replicates many; results
+    are byte-identical for any ``jobs`` (None honours ``$REPRO_JOBS``).
     """
-
-    def __init__(
-        self,
-        params: StandardParams,
-        cache_dir: Optional[Path] = None,
-        jobs: Optional[int] = None,
-    ) -> None:
-        self.params = params
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-        #: Run-dispatch engine; jobs=None honours ``$REPRO_JOBS``.
-        self.executor = ParallelExecutor(jobs)
-        #: Cells computed this session (cache hits included).
-        self.cells_run = 0
-        #: Cells served from the disk cache.
-        self.cache_hits = 0
-
-    # -- cache plumbing ------------------------------------------------------
-    def _key(self, spec: CellSpec) -> str:
-        payload = {
-            "params": asdict(self.params),
-            "spec": asdict(spec),
-            # Release + cell-schema token: caches written by a different
-            # repro version or result-schema revision never collide.
-            "version": {"repro": __version__, "cell_schema": CELL_SCHEMA_VERSION},
-        }
-        blob = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:24]
-
-    def _cache_path(self, spec: CellSpec) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"cell-{self._key(spec)}.json"
-
-    # -- execution ----------------------------------------------------------------
-    def _load_cached(self, spec: CellSpec) -> Optional[List[RunMetrics]]:
-        self.cells_run += 1
-        path = self._cache_path(spec)
-        if path is not None and path.exists():
-            self.cache_hits += 1
-            logger.debug("grid cache hit: %s", spec)
-            return runs_from_json(path)
-        logger.debug("grid cache miss: %s", spec)
-        return None
-
-    def _store(self, spec: CellSpec, runs: List[RunMetrics]) -> None:
-        path = self._cache_path(spec)
-        if path is not None:
-            runs_to_json(runs, path)
-
-    def run_cell(self, spec: CellSpec) -> List[RunMetrics]:
-        """All replicates of one cell (from cache when possible)."""
-        cached = self._load_cached(spec)
-        if cached is not None:
-            return cached
-        runs = self.executor.map(
-            _replicate_task,
-            [
-                (spec, self.params, replicate)
-                for replicate in range(self.params.replicates)
-            ],
-            labels=[
-                f"{spec.implementation} r{replicate}"
-                for replicate in range(self.params.replicates)
-            ],
-        )
-        self._store(spec, runs)
-        return runs
-
-    def run(self, specs: Sequence[CellSpec]) -> Dict[CellSpec, Summary]:
-        """Run (or load) every cell; returns per-cell summaries.
-
-        Cache misses across *all* cells are flattened into one
-        ``(spec, replicate)`` task list so a multi-job executor keeps
-        every worker busy even when cells are few and replicates many.
-        Results are reassembled in spec × replicate order — identical to
-        the serial sweep. Hit/miss counts are logged per sweep.
-        """
-        results: Dict[CellSpec, List[RunMetrics]] = {}
-        pending: List[CellSpec] = []
-        hits_before = self.cache_hits
-        for spec in specs:
-            if spec in results or spec in pending:
-                continue
-            cached = self._load_cached(spec)
-            if cached is not None:
-                results[spec] = cached
-            else:
-                pending.append(spec)
-        if pending:
-            replicates = self.params.replicates
-            tasks = [
-                (spec, self.params, replicate)
-                for spec in pending
-                for replicate in range(replicates)
-            ]
-            labels = [
-                f"{spec.implementation} r{replicate}"
-                for spec in pending
-                for replicate in range(replicates)
-            ]
-            runs = self.executor.map(_replicate_task, tasks, labels=labels)
-            for i, spec in enumerate(pending):
-                cell = runs[i * replicates : (i + 1) * replicates]
-                self._store(spec, cell)
-                results[spec] = cell
-        logger.info(
-            "grid sweep: %d cells, %d cache hits, %d computed",
-            len(results),
-            self.cache_hits - hits_before,
-            len(pending),
-        )
-        return {spec: summarise(results[spec]) for spec in specs}
-
-    def invalidate(self) -> int:
-        """Delete this grid's cache files; returns how many were removed."""
-        if self.cache_dir is None:
-            return 0
-        removed = 0
-        for path in self.cache_dir.glob("cell-*.json"):
-            path.unlink()
-            removed += 1
-        return removed
+    keys = [
+        [_key(params, spec, rep) for rep in range(params.replicates)]
+        for spec in specs
+    ]
+    tasks, labels = [], []
+    pending: Dict[Tuple, None] = {}  # insertion-ordered set of misses
+    for spec, cell in zip(specs, keys):
+        for rep, key in enumerate(cell):
+            if key not in _CELL_MEMO and key not in pending:
+                pending[key] = None
+                tasks.append((spec, params, rep))
+                labels.append(f"{spec.implementation} x{spec.n_consumers} r{rep}")
+    runs = ParallelExecutor(jobs).map(_replicate_task, tasks, labels=labels)
+    _CELL_MEMO.update(zip(pending, runs))
+    return [[_CELL_MEMO[key] for key in cell] for cell in keys]
 
 
 def _replicate_task(task) -> RunMetrics:

@@ -1,11 +1,12 @@
 """Process-pool execution engine for independent simulation runs.
 
-Every experiment in this repository — grid cells, chaos scenario ×
+Every experiment in this repository — figure cells, chaos scenario ×
 implementation pairs, replicates — is a *pure function* of its
 parameters: a fresh :class:`~repro.harness.runner.Rig` per run, named
 RNG streams derived from ``(seed, replicate)``, no shared mutable
-state. That is exactly the property that makes the on-disk grid cache
-sound, and it equally makes runs safe to fan out across processes.
+state. That is exactly the property that lets the cell memo in
+:mod:`repro.harness.grid` serve a cell to every figure that shows it,
+and it equally makes runs safe to fan out across processes.
 
 :class:`ParallelExecutor` is the one engine all of them share:
 

@@ -4,7 +4,9 @@
 Figures 3/4/9/10/11 and the §VI-C scalars — and assembles a single
 markdown document with every text figure, parameters, and runtimes.
 Exposed on the CLI as ``repro all --out REPORT.md``; a downstream user
-gets the whole paper-vs-reproduction story from one invocation.
+gets the whole paper-vs-reproduction story from one invocation. Every
+section is a view over :func:`~repro.harness.grid.run_cells`, so a cell
+that several sections show is simulated once.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from repro.harness.experiments import (
     run_wakeup_accounting,
 )
 from repro.harness.params import StandardParams
-from repro.harness.runner import run_single_pair
-from repro.harness.sanity import run_sanity_checks
+from repro.harness.sanity import run_sanity_checks, sanity_runs
 
 
 @dataclass
@@ -96,15 +97,10 @@ def build_full_report(
             ReportSection(title, body, clock.perf_counter() - start)
         )
 
-    def sanity_body() -> str:
-        runs = [
-            run_single_pair(name, params, rep)
-            for name in ("Mutex", "BP", "SPBP")
-            for rep in range(params.replicates)
-        ]
-        return run_sanity_checks(runs, params).render()
-
-    section("Sanity checks (paper §III-C1)", sanity_body)
+    section(
+        "Sanity checks (paper §III-C1)",
+        lambda: run_sanity_checks(sanity_runs(params), params).render(),
+    )
     section("Figures 3 & 4 — the §III study", lambda: run_profile_study(params).render())
     section("Figure 9 — five consumers", lambda: run_multi_comparison(params).render())
     section(

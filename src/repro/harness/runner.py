@@ -218,35 +218,6 @@ def _fill_metrics(
 # -- experiment entry points ------------------------------------------------------
 
 
-def run_single_pair(
-    name: str, params: StandardParams, replicate: int = 0
-) -> RunMetrics:
-    """One §III study run: one producer-consumer pair of ``name``."""
-    if name not in SINGLE_IMPLEMENTATIONS:
-        raise ValueError(f"unknown implementation {name!r}")
-    rig = Rig.build(params, replicate)
-    trace = base_trace(params, replicate)
-    impl = SINGLE_IMPLEMENTATIONS[name](
-        rig.env,
-        rig.machine.core(CONSUMER_CORE),
-        rig.machine.timers,
-        trace,
-        params.pc_config(),
-        owner="consumer",
-    ).start()
-    rig.env.run(until=params.duration_s)
-    return _fill_metrics(
-        name,
-        params,
-        replicate,
-        rig,
-        impl.stats,
-        n_consumers=1,
-        buffer_size=params.buffer_size,
-        average_buffer=float(impl.buffer.capacity),
-    )
-
-
 def run_multi(
     name: str,
     n_consumers: int,

@@ -11,8 +11,8 @@ Before trusting its rig, the paper verifies four things:
    outlier-driven.
 
 ``run_sanity_checks`` performs the same four against the simulated rig
-and a set of experiment runs. The benchmarks call it before trusting a
-figure; it is also exposed through the CLI (``repro sanity``).
+and a set of experiment runs; ``sanity_runs`` is that set for the CLI
+(``repro sanity``) and the full report (``repro all``).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.harness.grid import CellSpec, run_cells
 from repro.harness.params import StandardParams
 from repro.harness.runner import Rig, baseline_power_w
 from repro.metrics.run import RunMetrics
@@ -90,6 +91,13 @@ def dual_spin_ceiling_w(params: StandardParams, replicate: int = 0) -> float:
     measured, _true = rig.measure_power_w(params.duration_s)
     base_measured, _ = baseline_power_w(params, replicate)
     return measured - base_measured
+
+
+def sanity_runs(params: StandardParams) -> List[RunMetrics]:
+    """Every replicate of the one-pair Mutex, BP and SPBP cells, in that
+    order: the runs ``repro sanity`` and ``repro all`` check."""
+    specs = [CellSpec(name, n_consumers=1) for name in ("Mutex", "BP", "SPBP")]
+    return [run for cell in run_cells(params, specs) for run in cell]
 
 
 def run_sanity_checks(

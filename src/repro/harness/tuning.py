@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
+from repro.harness.grid import CellSpec, run_cells
 from repro.harness.params import StandardParams
-from repro.harness.runner import run_multi
 from repro.harness.tables import render_table
+from repro.metrics.run import RunMetrics
 
 #: Default candidate grid, as fractions of the max response latency.
 DEFAULT_FRACTIONS = (1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)
@@ -40,6 +41,8 @@ class TuningResult:
     best_slot_size_s: float
     probes: Tuple[ProbePoint, ...]
     n_consumers: int
+    #: Every probe run, candidate by candidate.
+    runs: Tuple[RunMetrics, ...] = ()
 
     def render(self) -> str:
         rows = [
@@ -79,18 +82,13 @@ def suggest_slot_size(
             "no admissible candidates (must be in (0, max_response_latency])"
         )
     probe_params = replace(params, replicates=probe_replicates)
+    specs = [
+        CellSpec("PBPL", n_consumers, pbpl_overrides=(("slot_size_s", slot),))
+        for slot in candidates
+    ]
+    cells = run_cells(probe_params, specs)
     probes: List[ProbePoint] = []
-    for slot in candidates:
-        runs = [
-            run_multi(
-                "PBPL",
-                n_consumers,
-                probe_params,
-                rep,
-                pbpl_overrides={"slot_size_s": slot},
-            )
-            for rep in range(probe_replicates)
-        ]
+    for slot, runs in zip(candidates, cells):
         power = sum(r.power_w for r in runs) / len(runs)
         wakeups = sum(r.core_wakeups_per_s for r in runs) / len(runs)
         total_batch = sum(r.total_batch_wakeups for r in runs)
@@ -109,4 +107,5 @@ def suggest_slot_size(
         best_slot_size_s=best.slot_size_s,
         probes=tuple(probes),
         n_consumers=n_consumers,
+        runs=tuple(run for cell in cells for run in cell),
     )

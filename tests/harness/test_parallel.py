@@ -11,12 +11,12 @@ import pytest
 
 from repro.faults import SMOKE_SCENARIOS, run_chaos
 from repro.harness import (
-    CellSpec,
-    ExperimentGrid,
     ParallelExecutor,
     StandardParams,
     WorkerCrashError,
+    grid,
     resolve_jobs,
+    run_consumer_scaling,
 )
 from repro.harness.parallel import JOBS_ENV_VAR
 
@@ -134,7 +134,12 @@ def test_chaos_matrix_byte_identical_across_jobs():
 
 def test_grid_sweep_byte_identical_across_jobs():
     params = StandardParams(duration_s=0.3, replicates=2, seed=42)
-    specs = [CellSpec.make("BP", n_consumers=2), CellSpec.make("Sem", n_consumers=2)]
-    serial = ExperimentGrid(params, cache_dir=None, jobs=1).run(specs)
-    pooled = ExperimentGrid(params, cache_dir=None, jobs=4).run(specs)
-    assert pooled == serial
+    serial = run_consumer_scaling(params, counts=(2, 3), jobs=1)
+    # Without the clear, the pooled sweep is served from the memo.
+    grid._CELL_MEMO.clear()
+    pooled = run_consumer_scaling(params, counts=(2, 3), jobs=2)
+    assert pooled.cells[2].runs[0] is not serial.cells[2].runs[0]
+    assert pooled.render() == serial.render()
+    assert [c.runs for c in pooled.cells.values()] == [
+        c.runs for c in serial.cells.values()
+    ]

@@ -7,7 +7,6 @@ from repro.harness import (
     baseline_power_w,
     run_multi,
     run_multi_comparison,
-    run_single_pair,
 )
 from repro.harness.tables import render_comparison, render_series, render_table
 
@@ -27,7 +26,7 @@ def test_baseline_is_cheap_and_cached(params):
 
 
 def test_single_pair_run_produces_metrics(params):
-    m = run_single_pair("Sem", params, 0)
+    m = run_multi("Sem", 1, params, 0)
     assert m.implementation == "Sem"
     assert m.produced > 0
     assert m.consumed > 0
@@ -38,7 +37,7 @@ def test_single_pair_run_produces_metrics(params):
 
 def test_single_pair_unknown_name(params):
     with pytest.raises(ValueError):
-        run_single_pair("Nope", params, 0)
+        run_multi("Nope", 1, params, 0)
 
 
 def test_multi_run_produces_metrics(params):
@@ -81,16 +80,16 @@ def test_extra_power_is_positive_for_all_impls(params):
     """Sanity check from the paper (§III-C1): every experiment draws
     more than the idle baseline."""
     for name in ("BW", "Mutex", "BP", "SPBP"):
-        m = run_single_pair(name, params, 0)
+        m = run_multi(name, 1, params, 0)
         assert m.power_w > 0, name
 
 
 def test_bw_draws_most(params):
     """Paper sanity check: nothing beats two spinning cores; here, the
     busy-wait implementation bounds every blocking one."""
-    bw = run_single_pair("BW", params, 0)
+    bw = run_multi("BW", 1, params, 0)
     for name in ("Mutex", "Sem", "BP", "PBP", "SPBP"):
-        assert run_single_pair(name, params, 0).power_w < bw.power_w, name
+        assert run_multi(name, 1, params, 0).power_w < bw.power_w, name
 
 
 def test_multi_comparison_renders(params):

@@ -7,7 +7,6 @@ from repro.harness import (
     dual_spin_ceiling_w,
     run_multi,
     run_sanity_checks,
-    run_single_pair,
     runs_from_csv,
     runs_from_json,
     runs_to_csv,
@@ -24,8 +23,8 @@ def params():
 @pytest.fixture(scope="module")
 def some_runs(params):
     return [
-        run_single_pair("Sem", params, 0),
-        run_single_pair("BP", params, 0),
+        run_multi("Sem", 1, params, 0),
+        run_multi("BP", 1, params, 0),
         run_multi("PBPL", 2, params, 0),
     ]
 

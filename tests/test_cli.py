@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.harness import runs_from_csv
 
 
 COMMON = ["--duration", "0.8", "--replicates", "1", "--seed", "3"]
@@ -25,6 +26,16 @@ def test_fig9_runs_and_prints(capsys, tmp_path):
 def test_accounting_runs(capsys):
     assert main(["accounting", *COMMON]) == 0
     assert "wakeup accounting" in capsys.readouterr().out
+
+
+def test_accounting_csv_holds_every_run(capsys, tmp_path):
+    csv_file = tmp_path / "accounting.csv"
+    assert main(["accounting", *COMMON, "--csv", str(csv_file)]) == 0
+    runs = runs_from_csv(csv_file)
+    assert [(r.implementation, r.buffer_size) for r in runs] == [
+        ("PBPL", 25),
+        ("BP", 25),
+    ]
 
 
 def test_sanity_passes(capsys):
@@ -84,6 +95,15 @@ def test_tune_reports_knee(capsys):
     out = capsys.readouterr().out
     assert "suggested Δ" in out
     assert "◀ best" in out
+
+
+def test_tune_csv_holds_every_probe_run(capsys, tmp_path):
+    csv_file = tmp_path / "tune.csv"
+    argv = ["tune", "--consumers", "2", "--candidates_ms", "5,10", *COMMON]
+    assert main([*argv, "--csv", str(csv_file)]) == 0
+    runs = runs_from_csv(csv_file)
+    assert [(r.implementation, r.n_consumers) for r in runs] == [("PBPL", 2)] * 2
+    assert runs[0].core_wakeups_per_s != runs[1].core_wakeups_per_s
 
 
 def test_waveform_renders(capsys):
