@@ -29,7 +29,8 @@ Installed as the ``repro`` console script (also ``python -m repro``)::
     repro metrics bless             # regenerate the golden metrics snapshot
 
 Common options (figures): ``--duration``, ``--replicates``, ``--seed``,
-``--csv FILE`` (raw per-run metrics), ``--out FILE`` (the text figure),
+``--csv FILE`` (raw per-run metrics; not on ``chaos``, ``all`` or
+``waveform``, which have none to export), ``--out FILE`` (the text figure),
 ``--jobs N`` (parallel run dispatch; also honours ``$REPRO_JOBS``).
 """
 
@@ -69,7 +70,8 @@ from repro.workloads import (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, csv: bool = True) -> None:
+    """The figure options; ``csv=False`` for commands with no runs to export."""
     parser.add_argument(
         "--duration", type=float, default=3.0, help="simulated seconds per run"
     )
@@ -83,9 +85,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--out", type=Path, default=None, help="also write the text figure here"
     )
-    parser.add_argument(
-        "--csv", type=Path, default=None, help="export raw per-run metrics as CSV"
-    )
+    if csv:
+        parser.add_argument(
+            "--csv", type=Path, default=None,
+            help="export raw per-run metrics as CSV",
+        )
 
 
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
@@ -118,7 +122,8 @@ def _emit(args: argparse.Namespace, text: str, runs=None) -> None:
     print(text)
     if args.out is not None:
         args.out.write_text(text + "\n", encoding="utf-8")
-    if args.csv is not None and runs is not None:
+    # runs first: commands that pass none are not offered --csv at all.
+    if runs is not None and args.csv is not None:
         runs_to_csv(runs, args.csv)
 
 
@@ -1205,7 +1210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "chaos", help="fault-injection matrix → markdown resilience report"
     )
-    _add_common(p)
+    _add_common(p, csv=False)
     _add_jobs(p)
     p.add_argument("--consumers", type=int, default=4)
     p.add_argument(
@@ -1307,11 +1312,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("all", help="every figure, one markdown report")
-    _add_common(p)
+    _add_common(p, csv=False)
     p.set_defaults(func=cmd_all)
 
     p = sub.add_parser("waveform", help="ASCII power waveform (Fig. 1, live)")
-    _add_common(p)
+    _add_common(p, csv=False)
     p.add_argument(
         "--impl", default="PBPL", help="implementation (PBPL or a §III name)"
     )

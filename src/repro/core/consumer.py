@@ -87,6 +87,9 @@ class LatchingConsumer:
         #: site is a truthiness guard plus one pre-bound method call;
         #: the NULL path hands back shared no-op singletons.
         self.metrics = metrics or NULL_REGISTRY
+        #: ``bool(self.metrics)`` taken once for the per-item and
+        #: per-arrival guards (NullRegistry's ``__bool__`` is Python).
+        self._metered = bool(self.metrics)
         self._m_produced = self.metrics.counter(
             "items_produced_total",
             help="Items delivered into consumer buffers.", consumer=owner,
@@ -236,7 +239,7 @@ class LatchingConsumer:
         generator route — the split only avoids allocating and resuming
         a generator for deliveries that never block.
         """
-        if self.metrics:
+        if self._metered:
             self._inc_produced()
         buffer = self.buffer
         if buffer.is_full:
@@ -340,7 +343,7 @@ class LatchingConsumer:
         cfg = self.config
         stats = self.stats
         record_latency = stats.record_latency
-        metrics = self.metrics
+        metered = self._metered
         inc_consumed = self._m_consumed.inc
         item_cost_s = self._item_cost_s
         base_cost = type(self)._item_cost_s is LatchingConsumer._item_cost_s
@@ -366,7 +369,7 @@ class LatchingConsumer:
                 self.manager.cancel(self)
             else:
                 self.stats.scheduled_wakeups += 1
-            if self.metrics:
+            if metered:
                 (
                     self._inc_wake_scheduled if scheduled else self._inc_wake_overflow
                 )()
@@ -389,9 +392,12 @@ class LatchingConsumer:
             # per consumed item). hold is never released inside the loop,
             # and the batch-opening busy(WAKE_CHECK_S) above has already
             # consumed the hold's pending wake/context-switch cost, so
-            # the startup branch reduces to plain division.
+            # the startup branch reduces to plain division. The speed-up
+            # is recomputed only when the governor changes core.pstate.
             timeout = env.timeout
             speedup = core.pstates.speedup
+            pstate = core.pstate
+            speed = speedup(pstate)
             account_busy = core._account_busy
             owner = self.owner
             service_time_s = self.config.service_time_s
@@ -409,18 +415,21 @@ class LatchingConsumer:
                     raise SimulationError(f"negative cpu time {cost!r}")
                 if not core._pstate_settled:
                     core._reselect_pstate()
-                duration = cost / speedup(core.pstate)
+                if core.pstate is not pstate:
+                    pstate = core.pstate
+                    speed = speedup(pstate)
+                duration = cost / speed
                 if duration > 0:
                     yield timeout(duration)
                 account_busy(owner, duration)
                 stats.consumed += 1
                 # Counted per item so the counter equals stats.consumed
                 # at any cut-off, including one that lands mid-batch.
-                if metrics:
+                if metered:
                     inc_consumed()
                 record_latency(env.now - t, deadline_s, env.now)
                 self.in_flight -= 1
-            if metrics:
+            if metered:
                 self._m_batch_items.observe(len(batch))
 
             # Prediction update (r_j over the inter-invocation gap).

@@ -1,37 +1,25 @@
-"""The simulation environment: clock, calendar event queue, run loop.
+"""The simulation environment: clock, event queue, run loop.
 
-The event queue is a *calendar queue* (Brown 1988) tuned for the PBPL
-workload shape: events cluster at shared Δ-slot boundaries, so the
-queue buckets pending ``(when, priority, eid, event)`` entries by a
-fixed time width, keeps only the bucket currently being drained in
-sorted order, and batch-dispatches every entry of a bucket — all
-same-timestamp events included — in one linear sweep with no per-event
-heap percolation. Buckets are sparse (a dict keyed by
-``floor(when / width)`` plus a small heap of occupied keys), so
-far-future or irregular timers degrade gracefully to singleton buckets
-with exactly the cost profile of the old binary heap — the heap
-*fallback* and the calendar fast path are the same structure.
-
-Ordering is byte-identical to the previous ``heapq`` implementation:
-the dispatch order is the total order on ``(when, priority, eid)``
-because bucket keys are monotone in ``when``, each bucket is sorted on
-activation, and intra-bucket insertions during a drain use
-``bisect.insort`` over the still-pending suffix.
+The event queue is one binary heap (:mod:`heapq`) of
+``(when, priority, eid, event)`` entries, so dispatch order is the
+total order on ``(when, priority, eid)``: timestamp first, URGENT
+before NORMAL at equal timestamps, then scheduling order. Every entry
+carries a unique ``eid``, so the tuple comparison never reaches the
+event itself.
 
 The run loop is deliberately flat: every experiment in this repository
 is bottlenecked on :meth:`Environment.run`, so the hot path binds its
-locals once and walks the active bucket without per-event method
-calls. :meth:`step` remains for callers that need single-event
-control. Instrumentation does not get a loop of its own: the
-profiler and the sanitizer set :attr:`Environment.dispatch_hook`, and
-the one loop hands each popped entry and its callbacks to that hook
-instead of running them inline.
+locals once and pops the heap without per-event method calls.
+:meth:`step` remains for callers that need single-event control.
+Instrumentation does not get a loop of its own: the profiler and the
+sanitizer set :attr:`Environment.dispatch_hook`, and the one loop hands
+each popped entry and its callbacks to that hook instead of running
+them inline.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Iterable, Optional, Union
 
@@ -45,13 +33,6 @@ from repro.sim.events import (
     ProcessGenerator,
     Timeout,
 )
-
-#: Default calendar-bucket width. 1 ms divides every stock Δ-slot
-#: period (10 ms batch periods, ms-scale ticker periods) while keeping
-#: the active bucket short enough that intra-bucket ``insort`` stays
-#: cheaper than heap percolation.
-DEFAULT_BUCKET_WIDTH_S = 1e-3
-
 
 class _StopSimulation(Exception):
     """Internal control-flow exception ending :meth:`Environment.run`."""
@@ -79,40 +60,15 @@ class Environment:
     initial_time:
         Starting value of :attr:`now` (seconds by convention throughout
         this repository).
-    bucket_width_s:
-        Calendar-bucket width for the event queue. Purely a throughput
-        knob — dispatch order (and therefore every simulated result) is
-        independent of it. See :meth:`hint_slot_width`.
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        bucket_width_s: float = DEFAULT_BUCKET_WIDTH_S,
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         #: Current simulated time. A plain attribute on purpose: it is
         #: read on essentially every simulated action, and a property
         #: costs a function call per read. Only the run loop writes it.
         self.now = float(initial_time)
-        if bucket_width_s <= 0:
-            raise SimulationError(
-                f"bucket width must be positive, got {bucket_width_s!r}"
-            )
-        self.bucket_width_s = float(bucket_width_s)
-        self._inv_width = 1.0 / self.bucket_width_s
-        #: Sparse calendar: bucket key -> unordered entry list. Keys are
-        #: ``floor(when / width)`` (ints), or the timestamp itself for
-        #: values beyond float range (``inf`` wakeups).
-        self._buckets: dict = {}
-        #: Min-heap of occupied bucket keys (pushed once per bucket
-        #: creation, popped on activation — never stale).
-        self._bucket_keys: list = []
-        #: The bucket currently being drained, sorted ascending. Entries
-        #: before :attr:`_ridx` are already dispatched; the pending
-        #: suffix starts at :attr:`_ridx`.
-        self._active: list = []
-        self._ridx = 0
-        self._active_key: Any = None
+        #: Min-heap of pending ``(when, priority, eid, event)`` entries.
+        self._queue: list = []
         self._eid = count()
         self._active_process: Optional[Process] = None
         #: Lifetime count of events processed (run loop + step). The
@@ -135,22 +91,15 @@ class Environment:
 
     def peek(self) -> float:
         """Timestamp of the next scheduled event, or ``inf`` if none."""
-        if self._ridx < len(self._active):
-            return self._active[self._ridx][0]
-        if self._bucket_keys and self._advance():
-            return self._active[0][0]
-        return float("inf")
+        return self._queue[0][0] if self._queue else float("inf")
 
     def __len__(self) -> int:
-        pending = len(self._active) - self._ridx
-        for bucket in self._buckets.values():
-            pending += len(bucket)
-        return pending
+        return len(self._queue)
 
     # -- scheduling -------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Queue a triggered event for processing ``delay`` from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._schedule_at(self.now + delay, priority, event)
 
@@ -158,113 +107,9 @@ class Environment:
         """The queue's single insertion point.
 
         Every scheduling path (``schedule``, the inlined ``timeout``,
-        subclass hooks) funnels through here, so the calendar structure
-        has exactly one writer to keep consistent.
+        subclass hooks) funnels through here.
         """
-        entry = (when, priority, next(self._eid), event)
-        x = when * self._inv_width
-        try:
-            key: Any = int(x)
-            if key > x:  # int() truncates toward zero; we need floor
-                key -= 1
-        except (OverflowError, ValueError):  # inf (or nan) timestamps
-            key = when
-        if key == self._active_key:
-            # Falls inside the bucket being drained. Delays are
-            # non-negative, so the entry belongs in the pending suffix;
-            # insort over [ridx:] keeps same-timestamp URGENT inserts
-            # ahead of pending NORMAL ones without ever landing in the
-            # already-dispatched prefix.
-            insort(self._active, entry, self._ridx)
-        else:
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                self._buckets[key] = [entry]
-                heappush(self._bucket_keys, key)
-            else:
-                bucket.append(entry)
-
-    def _advance(self) -> bool:
-        """Activate the next occupied bucket; False if the queue is empty."""
-        keys = self._bucket_keys
-        if not keys:
-            self._active = []
-            self._ridx = 0
-            self._active_key = None
-            return False
-        key = heappop(keys)
-        bucket = self._buckets.pop(key)
-        if len(bucket) > 1:
-            bucket.sort()
-        self._active = bucket
-        self._ridx = 0
-        self._active_key = key
-        return True
-
-    def _pop_entry(self) -> Optional[tuple]:
-        """Consume and return the next ``(when, priority, eid, event)``.
-
-        Returns None when no events remain. This is :meth:`step`'s
-        single-event twin of the batched drain in :meth:`run`.
-        """
-        i = self._ridx
-        if i >= len(self._active):
-            if not self._advance():
-                return None
-            i = 0
-        entry = self._active[i]
-        self._ridx = i + 1
-        return entry
-
-    def set_bucket_width(self, width_s: float) -> None:
-        """Re-bucket all pending events under a new calendar width.
-
-        A pure throughput knob: dispatch order is unchanged (entries
-        keep their original ``(when, priority, eid)`` keys), so results
-        are byte-identical for any positive width.
-        """
-        if width_s <= 0:
-            raise SimulationError(f"bucket width must be positive, got {width_s!r}")
-        pending = self._active[self._ridx :]
-        for bucket in self._buckets.values():
-            pending.extend(bucket)
-        self.bucket_width_s = float(width_s)
-        self._inv_width = 1.0 / self.bucket_width_s
-        self._buckets = {}
-        self._active = []
-        self._ridx = 0
-        self._active_key = None
-        inv_width = self._inv_width
-        buckets = self._buckets
-        for entry in pending:
-            when = entry[0]
-            x = when * inv_width
-            try:
-                key: Any = int(x)
-                if key > x:
-                    key -= 1
-            except (OverflowError, ValueError):
-                key = when
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [entry]
-            else:
-                bucket.append(entry)
-        self._bucket_keys = list(buckets)
-        heapify(self._bucket_keys)
-
-    def hint_slot_width(self, delta_s: float) -> None:
-        """Tune the calendar to a known Δ-slot period.
-
-        PBPL aligns wakeups to shared slot boundaries, so the natural
-        bucket width is a fraction of Δ: wide enough that a boundary's
-        event burst lands in one bucket (one sort, one linear drain),
-        narrow enough that intra-bucket insertions stay cheap. Clamped
-        to [0.1 ms, 10 ms]; no-ops on non-finite or non-positive hints.
-        """
-        if not delta_s > 0 or delta_s != delta_s or delta_s == float("inf"):
-            return
-        self.set_bucket_width(min(max(delta_s / 4.0, 1e-4), 1e-2))
+        heappush(self._queue, (when, priority, next(self._eid), event))
 
     # -- factories --------------------------------------------------------
     def process(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:
@@ -279,7 +124,7 @@ class Environment:
         Timeout is built inline — same invariants as
         :class:`~repro.sim.events.Timeout`, no layered ``__init__``.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"negative timeout delay {delay!r}")
         event = Timeout.__new__(Timeout)
         event.env = self
@@ -308,9 +153,9 @@ class Environment:
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
         dispatch = self.dispatch_hook
-        entry = self._pop_entry()
-        if entry is None:
+        if not self._queue:
             raise SimulationError("step() on an empty schedule")
+        entry = heappop(self._queue)
         when, _prio, _eid, event = entry
         self.now = when
         self.events_processed += 1
@@ -339,35 +184,20 @@ class Environment:
         * an :class:`Event` — run until that event is processed and
           return its value (re-raising its exception on failure).
         """
-        # The hot loop: a batched bucket drain. The active bucket is a
-        # sorted run, so every entry of a bucket — equal-timestamp
-        # bursts included — dispatches in one linear sweep; heap work
-        # happens only once per occupied bucket, in _advance().
-        advance = self._advance
+        queue = self._queue
         dispatch = self.dispatch_hook
-        active = self._active
-        i = self._ridx
         processed = 0
         watched: Optional[Event] = None
         stop_at = float("inf")
         try:
             stop_at, watched = self._arm_until(until)
-            while True:
-                if i >= len(active):
-                    self._ridx = i
-                    if not advance():
-                        break
-                    active = self._active
-                    i = 0
-                entry = active[i]
+            while queue:
+                entry = heappop(queue)
                 when = entry[0]
                 if when >= stop_at:
+                    # Put it back: the same entry restores the same order.
+                    heappush(queue, entry)
                     break
-                i += 1
-                # Keep the cursor honest before running user code: a
-                # callback may schedule into this bucket (insort reads
-                # _ridx) or introspect the queue.
-                self._ridx = i
                 self.now = when
                 processed += 1
                 event = entry[3]
@@ -378,14 +208,6 @@ class Environment:
                         callback(event)
                 else:
                     dispatch(entry, callbacks)
-                if active is not self._active:
-                    # A callback replaced the active bucket — via
-                    # set_bucket_width() re-bucketing, or a peek() that
-                    # advanced past an exhausted bucket. Re-sync or the
-                    # loop would walk the stale list (double dispatch)
-                    # and then skip the freshly activated bucket.
-                    active = self._active
-                    i = self._ridx
                 if not event._ok and not event._defused:
                     exc = event._exc
                     assert exc is not None
@@ -429,7 +251,7 @@ class Environment:
             watched.callbacks.append(_stop_simulation)
         elif until is not None:
             stop_at = float(until)
-            if stop_at < self.now:
+            if not stop_at >= self.now:  # also rejects NaN
                 raise SimulationError(
                     f"run(until={stop_at}) is in the past (now={self.now})"
                 )

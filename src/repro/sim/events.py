@@ -141,7 +141,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"negative timeout delay {delay!r}")
         super().__init__(env)
         self.delay = delay
@@ -204,7 +204,7 @@ class Process(Event):
     event's exception is thrown into it).
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "name", "_resume")
 
     def __init__(
         self,
@@ -220,6 +220,10 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
+        #: The one bound resume callback, made once: every wait appends
+        #: this object and an interrupt removes it by identity, instead
+        #: of binding a fresh method per yield.
+        self._resume = self._drive
         Initialize(env, self)
 
     @property
@@ -237,7 +241,8 @@ class Process(Event):
         Interruption(self, cause)
 
     # -- generator driving ----------------------------------------------
-    def _resume(self, event: Event) -> None:
+    def _drive(self, event: Event) -> None:
+        """Advance the generator with ``event``'s outcome (as ``_resume``)."""
         env = self.env
         env._active_process = self
         while True:

@@ -1,12 +1,11 @@
-"""The calendar event queue vs a reference heap: order equivalence.
+"""The kernel's event queue vs an executable heap model: dispatch order.
 
-The queue rewrite (DESIGN.md §13) is only allowed to change *throughput*
-— dispatch order must remain the total order on ``(when, priority, eid)``
-that the old binary heap produced, for any stream of schedulings,
-including same-timestamp bursts, URGENT/NORMAL ties and events scheduled
-*during* a same-bucket drain. These tests pin that equivalence against
-an executable heap model, and cover the width knobs that must never
-change results. The two model properties also vary how the loop is
+Any change to the event queue (DESIGN.md §13) may change *throughput*
+only: dispatch order must stay the total order on ``(when, priority,
+eid)`` for any stream of schedulings, including same-timestamp bursts,
+URGENT/NORMAL ties and events scheduled *during* dispatch at the
+current timestamp. These tests pin that order against a reference
+``heapq`` model. The two model properties also vary how the loop is
 driven — plainly, through the self-profiler, or under the sanitizer —
 since the instrumented runs go through the same loop via its dispatch
 hook and must dispatch in exactly the same order.
@@ -19,13 +18,12 @@ from hypothesis import strategies as st
 
 from repro._compiled import PURE, kernel_backend
 from repro.analysis.sanitizer import SanitizingEnvironment
-from repro.sim import Environment
-from repro.sim.errors import SimulationError
+from repro.sim import Environment, Interrupt
 from repro.sim.events import NORMAL, URGENT
 from repro.telemetry import KernelProfiler
 
-#: Delay grid dense in collisions: exact ties, sub-bucket spacings,
-#: bucket-boundary values (default width 1e-3), and far-apart outliers.
+#: Delay grid dense in collisions: exact ties, sub-millisecond spacings,
+#: millisecond boundaries, and far-apart outliers.
 TIE_PRONE_DELAYS = [
     0.0, 0.0, 1e-4, 1e-4, 2.5e-4, 9.99e-4, 1e-3, 1e-3, 1.0001e-3,
     5e-3, 0.0123, 0.0123, 1.0, 7.25, 1e3,
@@ -57,14 +55,12 @@ def _recorded_event(env, order, tag):
     entries=st.lists(
         st.tuples(delays_st, priority_st), min_size=1, max_size=80
     ),
-    width=st.sampled_from([1e-4, 1e-3, 1e-2, 0.6, 1e6]),
     driver=driver_st,
 )
 @settings(max_examples=200, deadline=None)
-def test_dispatch_order_matches_heap_model(entries, width, driver):
+def test_dispatch_order_matches_heap_model(entries, driver):
     make_env, run = DRIVERS[driver]
     env = make_env()
-    env.set_bucket_width(width)
     order = []
     heap = []
     for eid, (delay, priority) in enumerate(entries):
@@ -100,8 +96,8 @@ def test_dispatch_order_matches_heap_model(entries, width, driver):
 @settings(max_examples=200, deadline=None)
 def test_mid_dispatch_scheduling_matches_heap_model(entries, driver):
     # Real run: each initial event's callback schedules its children,
-    # so URGENT children at the *current* timestamp must slot into the
-    # still-pending suffix of the active bucket.
+    # so URGENT children at the *current* timestamp must run before
+    # the still-pending NORMAL entries at that timestamp.
     make_env, run = DRIVERS[driver]
     env = make_env()
     order = []
@@ -164,8 +160,8 @@ def test_urgent_beats_normal_within_a_batch():
 
 
 def test_infinite_timestamps_sort_after_everything():
-    # Same semantics as the old heap: run(until=None) dispatches strictly
-    # before inf, so an inf-scheduled wakeup parks in the queue forever.
+    # run(until=None) dispatches strictly before inf, so an
+    # inf-scheduled wakeup parks in the queue forever.
     env = Environment()
     order = []
     env.schedule(_recorded_event(env, order, "inf"), float("inf"))
@@ -179,42 +175,9 @@ def test_infinite_timestamps_sort_after_everything():
     assert env.peek() == float("inf")
 
 
-def test_set_bucket_width_rebuckets_without_reordering():
-    env = Environment()
-    order = []
-    for i in range(50):
-        env.schedule(_recorded_event(env, order, i), (i % 7) * 1e-3)
-    assert len(env) == 50
-    env.set_bucket_width(0.5)
-    assert len(env) == 50
-    env.run()
-    expected = [i for _, i in sorted(((i % 7), i) for i in range(50))]
-    assert order == expected
-
-
-def test_set_bucket_width_mid_run_preserves_pending_order():
-    env = Environment()
-    order = []
-
-    def rebucket(_e):
-        order.append("rebucket")
-        env.set_bucket_width(0.25)
-
-    ev = env.event()
-    ev._ok = True
-    ev.callbacks.append(rebucket)
-    env.schedule(ev, 1e-3)
-    for i in range(20):
-        env.schedule(_recorded_event(env, order, i), 1e-3 + (i % 5) * 1e-3)
-    env.run()
-    assert order[0] == "rebucket"
-    assert order[1:] == [i for _, i in sorted(((i % 5), i) for i in range(20))]
-
-
 def test_peek_from_callback_does_not_skip_next_bucket():
-    # peek() may activate the next bucket when the current one is
-    # exhausted; the run loop must pick up the replacement instead of
-    # advancing a second time (which would silently drop the bucket).
+    # peek() from inside a dispatch must neither consume nor reorder
+    # the entry it reports.
     env = Environment()
     order = []
 
@@ -231,42 +194,36 @@ def test_peek_from_callback_does_not_skip_next_bucket():
     assert order == ["first", "second"]
 
 
-def test_set_bucket_width_rejects_nonpositive():
+def test_interrupted_process_is_not_resumed_by_its_old_target():
+    # The interrupt detaches the process's one cached resume callback
+    # from the event it was waiting on; when that event fires later it
+    # must not drive the process a second time.
     env = Environment()
-    for bad in (0.0, -1e-3):
+    seen = []
+    old = []
+
+    def sleeper(env):
+        old.append(env.timeout(5.0, value="old"))
         try:
-            env.set_bucket_width(bad)
-        except SimulationError:
-            pass
-        else:
-            raise AssertionError(f"width {bad} accepted")
+            yield old[0]
+        except Interrupt as irq:
+            seen.append(("interrupted", env.now, irq.cause))
+        value = yield env.timeout(10.0, value="new")
+        seen.append(("resumed", env.now, value))
 
+    proc = env.process(sleeper(env))
 
-def test_hint_slot_width_clamps_to_sane_range():
-    env = Environment()
-    env.hint_slot_width(10e-3)  # the stock Δ: width = Δ/4
-    assert env.bucket_width_s == 2.5e-3
-    env.hint_slot_width(1e-9)  # clamped up
-    assert env.bucket_width_s == 1e-4
-    env.hint_slot_width(1e6)  # clamped down
-    assert env.bucket_width_s == 1e-2
+    def interrupter(env):
+        yield env.timeout(1.0)
+        proc.interrupt("wake")
 
-
-def test_hint_slot_width_ignores_degenerate_hints():
-    env = Environment()
-    before = env.bucket_width_s
-    for bad in (0.0, -1.0, float("inf"), float("nan")):
-        env.hint_slot_width(bad)
-        assert env.bucket_width_s == before
-
-
-def test_environment_rejects_nonpositive_width():
-    try:
-        Environment(bucket_width_s=0.0)
-    except SimulationError:
-        pass
-    else:
-        raise AssertionError("zero bucket width accepted")
+    env.process(interrupter(env))
+    env.run(until=2.0)
+    assert old[0].callbacks == []
+    assert proc.target.callbacks == [proc._resume]
+    env.run()
+    assert seen == [("interrupted", 1.0, "wake"), ("resumed", 11.0, "new")]
+    assert env.now == 11.0
 
 
 def test_kernel_backend_reports_this_interpreter():

@@ -156,6 +156,25 @@ def test_negative_timeout_raises():
         env.timeout(-1.0)
 
 
+def test_nan_time_is_rejected_everywhere():
+    # NaN compares false against everything, so a plain ``delay < 0``
+    # check lets it through and the clock then runs backwards.
+    env = Environment()
+    nan = float("nan")
+    with pytest.raises(SimulationError):
+        env.timeout(nan)
+    with pytest.raises(SimulationError):
+        env.schedule(env.event(), delay=nan)
+    with pytest.raises(SimulationError):
+        env.run(until=nan)
+    assert len(env) == 0
+    env.timeout(1e-3)
+    env.timeout(float("inf"))  # inf stays legal: it parks forever
+    env.run()
+    assert env.now == 1e-3
+    assert len(env) == 1
+
+
 def test_same_time_events_run_in_schedule_order():
     env = Environment()
     order = []

@@ -133,6 +133,18 @@ def test_unknown_command_rejected():
         main(["nope"])
 
 
+@pytest.mark.parametrize("command", ["waveform", "chaos", "all"])
+def test_csv_not_offered_where_nothing_is_exported(command, tmp_path, capsys):
+    # These commands have no per-run table to write, so --csv is a usage
+    # error (exit 2) instead of a silent no-op that creates no file.
+    csv_file = tmp_path / "runs.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--csv", str(csv_file)])
+    assert exc.value.code == 2
+    assert "--csv" in capsys.readouterr().err
+    assert not csv_file.exists()
+
+
 def test_bad_counts_rejected():
     with pytest.raises(SystemExit):
         main(["fig10", "--counts", "a,b"])
